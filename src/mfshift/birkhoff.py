@@ -2,10 +2,13 @@
 
 Observables are cylinder tables with an explicit Lipschitz constant for the
 gamma-adic metric (distance gamma^j between sequences first differing after
-j symbols).  The zeta route restricts cylinder sums to words whose periodic
-Birkhoff average of the observable lands in a target interval; the
-variational route maximizes -h / int(Lambda) over measures with matching
-observable average.
+j symbols).  A Birkhoff target is a level map: the periodic average
+S_n f / n equals S_n(-f) / S_n(-1) bit for bit (negation is exact and the
+summation order is unchanged), so ``ObservableTable.as_level_map()`` feeds
+the constrained coefficients, Bowen solvers and variational optimizer of
+the self-conformal case.  The adapters below read that level map in mode
+"M" (periodic points); mode "L" and ``sandwich_threshold`` apply to
+``obs.as_level_map()`` directly.
 """
 
 from __future__ import annotations
@@ -15,24 +18,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ScheduleTooShort, ValidationError
-from .logsum import LogAccumulator, logsumexp
-from .mfzeta import (
-    ShrinkingResult,
-    _extrapolate_roots,
-    _profile_entry,
-    _solve_refined,
-    default_radius_schedule,
-)
-from .model import ModelSpec, PotentialTable, TargetBox
+from .errors import ValidationError
+from .mfzeta import constrained_coefficient, mf_bowen_fixed, mf_bowen_shrinking
+from .model import LevelMap, ModelSpec, PotentialTable, TargetBox
 from .spectrum import VariationalResult, variational_solve
-from .symbolic import (
-    DEFAULT_BUDGET,
-    composition_arrays,
-    periodic_tail_index,
-    tail_sum_matrix,
-    word_blocks,
-)
+from .symbolic import DEFAULT_BUDGET
 
 
 @dataclass(frozen=True)
@@ -68,17 +58,12 @@ class ObservableTable:
     def depth(self) -> int:
         return self.f.depth
 
-
-def _check_interval(C: TargetBox) -> TargetBox:
-    if C.dim != 1:
-        raise ValidationError("Birkhoff targets are intervals in R")
-    return C
-
-
-def _periodic_averages(obs: ObservableTable, words: np.ndarray, n: int, budget: int):
-    mat = tail_sum_matrix(obs.f, words, budget)
-    t_per = periodic_tail_index(words, obs.f.depth, obs.f.N)
-    return mat[np.arange(words.shape[0]), t_per] / n
+    def as_level_map(self) -> LevelMap:
+        """The level map mu -> int(-f) / int(-1), whose value is int f dmu."""
+        return LevelMap(
+            (PotentialTable(-self.f.values),),
+            PotentialTable(-np.ones(self.f.N)),
+        )
 
 
 def erg_constrained_coefficient(
@@ -90,47 +75,9 @@ def erg_constrained_coefficient(
     budget: int = DEFAULT_BUDGET,
 ) -> float:
     """log cylinder sum over words whose periodic average of f lies in C."""
-    if n < 1:
-        raise ValidationError("need n >= 1")
-    _check_interval(C)
-    if obs.depth == 1 and phi.depth == 1:
-        counts, log_mult = composition_arrays(n, spec.N)
-        avg = (counts @ obs.f.values) / n
-        mask = C.contains_points(avg[:, None])
-        return logsumexp((log_mult + counts @ phi.values)[mask])
-    acc = LogAccumulator()
-    for block in word_blocks(n, spec.N, budget):
-        sup_vals = tail_sum_matrix(phi, block, budget).max(axis=1)
-        avg = _periodic_averages(obs, block, n, budget)
-        acc.add_block(sup_vals[C.contains_points(avg[:, None])])
-    return acc.value()
-
-
-def _erg_lambda_profiles(
-    spec: ModelSpec,
-    obs: ObservableTable,
-    C: TargetBox,
-    n_values,
-    budget: int,
-):
-    lam_vec = spec.log_ratios
-    profiles = []
-    for n in n_values:
-        if obs.depth == 1:
-            counts, log_mult = composition_arrays(n, spec.N)
-            avg = (counts @ obs.f.values) / n
-            mask = C.contains_points(avg[:, None])
-            profiles.append(_profile_entry(log_mult[mask], counts[mask] @ lam_vec))
-        else:
-            parts = []
-            for block in word_blocks(n, spec.N, budget):
-                avg = _periodic_averages(obs, block, n, budget)
-                mask = C.contains_points(avg[:, None])
-                parts.append(lam_vec[block[mask]].sum(axis=1))
-            s_all = np.concatenate(parts) if parts else np.empty(0)
-            uniq, counts_u = np.unique(s_all, return_counts=True)
-            profiles.append(_profile_entry(np.log(counts_u), uniq))
-    return profiles
+    return constrained_coefficient(
+        spec, phi, C, n, mode="M", level=obs.as_level_map(), budget=budget
+    )
 
 
 def erg_bowen(
@@ -150,30 +97,18 @@ def erg_bowen(
     "shrinking" solves along a dilation schedule and returns the per-radius
     roots with their extrapolated limit.
     """
-    _check_interval(C)
-
-    def solve_at(box: TargetBox) -> float:
-        return _solve_refined(
-            spec,
-            n_max,
-            tol,
-            lambda ns: _erg_lambda_profiles(spec, obs, box, ns, budget),
-            refine,
-        )
-
+    level = obs.as_level_map()
     if mode == "fixed":
-        return solve_at(C)
+        return mf_bowen_fixed(
+            spec, C, n_max, tol, mode="M", level=level, budget=budget,
+            refine=refine,
+        )
     if mode != "shrinking":
         raise ValidationError("mode must be 'fixed' or 'shrinking'")
-    if r_schedule is None:
-        r_schedule = default_radius_schedule()
-    radii = np.asarray(list(r_schedule), dtype=float)
-    if radii.size < 3:
-        raise ScheduleTooShort("need at least 3 radii to extrapolate")
-    if np.any(radii <= 0) or np.any(np.diff(radii) >= 0):
-        raise ValidationError("radius schedule must be positive and decreasing")
-    roots = np.array([solve_at(C.dilate(float(r))) for r in radii])
-    return ShrinkingResult(radii, roots, _extrapolate_roots(radii, roots))
+    return mf_bowen_shrinking(
+        spec, C, r_schedule, n_max, tol, mode="M", level=level, budget=budget,
+        refine=refine,
+    )
 
 
 def erg_spectrum_variational(
@@ -190,19 +125,17 @@ def erg_spectrum_variational(
     The family defaults to the one that integrates the observable exactly:
     Bernoulli at depth 1, memory-1 Markov at depth 2.
     """
-    _check_interval(C)
     if family is None:
         family = "bernoulli" if obs.depth == 1 else "markov1"
     return variational_solve(
         spec,
         C,
-        phi=None,
         family=family,
         objective="dimension",
         grid_step=grid_step,
         tol=tol,
         seed=seed,
-        constraint_phi=obs.f,
+        level=obs.as_level_map(),
     )
 
 

@@ -38,8 +38,20 @@ def _check_mode(mode: str) -> str:
     return mode
 
 
-def _level_for(spec: ModelSpec, level: Optional[LevelMap]) -> LevelMap:
-    return level if level is not None else LevelMap.from_spec(spec)
+def resolve_level(
+    spec: ModelSpec, level: Optional[LevelMap], C: Optional[TargetBox]
+) -> LevelMap:
+    """The level map in use (the model's by default), checked against C.
+
+    A box of the wrong dimension would broadcast against the level points
+    instead of failing, so it is refused here.
+    """
+    lev = level if level is not None else LevelMap.from_spec(spec)
+    if C is not None and C.dim != lev.M:
+        raise ValidationError(
+            f"target box has dimension {C.dim}, the level map has M={lev.M}"
+        )
+    return lev
 
 
 def _class_ratio_points(level: LevelMap, counts: np.ndarray) -> np.ndarray:
@@ -101,7 +113,7 @@ def constrained_coefficient(
     if n < 1:
         raise ValidationError("need n >= 1")
     _check_mode(mode)
-    lev = _level_for(spec, level)
+    lev = resolve_level(spec, level, C)
     if phi.depth == 1 and (C is None or lev.is_depth1()):
         counts, log_mult = composition_arrays(n, spec.N)
         terms = log_mult + counts @ phi.values
@@ -305,7 +317,7 @@ def mf_bowen_fixed(
     enough; returns -inf when the constraint is empty over the window.
     """
     _check_mode(mode)
-    lev = _level_for(spec, level)
+    lev = resolve_level(spec, level, C)
     return _solve_refined(
         spec,
         n_max,

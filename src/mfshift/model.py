@@ -182,6 +182,8 @@ class TargetBox:
         object.__setattr__(self, "hi", hi)
         if lo.shape != hi.shape or lo.ndim != 1:
             raise ValidationError("box lo/hi must be equal-length vectors")
+        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+            raise ValidationError("box bounds must be finite")
         if np.any(lo > hi):
             raise ValidationError("box needs lo <= hi componentwise")
 

@@ -176,15 +176,29 @@ def _scan_resolution(u: np.ndarray) -> np.ndarray:
     return out
 
 
+def _scan_integral(W: np.ndarray, table: PotentialTable) -> np.ndarray:
+    """Integral of a depth <= 2 table against every scanned product measure."""
+    if table.depth == 1:
+        return W @ table.values
+    if table.depth == 2:
+        return np.einsum("ki,ij,kj->k", W, table.values, W)
+    raise DepthUnsupported("dense scan integrates depth <= 2")
+
+
 def brute_variational(
     spec: ModelSpec,
     C: TargetBox,
     phi: Optional[PotentialTable] = None,
     grid_step: float = 1e-3,
     objective: str = "dimension",
-    constraint_phi: Optional[PotentialTable] = None,
+    level: Optional[LevelMap] = None,
 ) -> BruteVariationalResult:
-    """Dense simplex scan of the constrained variational problem, no polish."""
+    """Dense simplex scan of the constrained variational problem, no polish.
+
+    The constraint keeps the level value of ``level`` (the model's level
+    map by default) in C; the dimension objective divides by the model's
+    scaling integral.
+    """
     if objective not in ("pressure", "dimension"):
         raise ValidationError("objective must be 'pressure' or 'dimension'")
     if objective == "pressure" and phi is None:
@@ -194,16 +208,12 @@ def brute_variational(
     h = -np.sum(W * lw, axis=1)
     lam = spec.log_ratios
     den = W @ lam
-    if constraint_phi is not None:
-        if constraint_phi.depth == 1:
-            u = (W @ constraint_phi.values)[:, None]
-        elif constraint_phi.depth == 2:
-            u = np.einsum("ki,ij,kj->k", W, constraint_phi.values, W)[:, None]
-        else:
-            raise DepthUnsupported("dense scan integrates depth <= 2")
-    else:
+    if level is None:
         num = W @ spec.log_measures.T  # (K, M)
         u = num / den[:, None]
+    else:
+        num = np.stack([_scan_integral(W, p) for p in level.phis], axis=1)
+        u = num / _scan_integral(W, level.lam)[:, None]
     slack = _scan_resolution(u)
     feasible = np.all((u >= C.lo - slack) & (u <= C.hi + slack), axis=1)
     if not feasible.any():
@@ -211,13 +221,7 @@ def brute_variational(
     if objective == "dimension":
         obj = -h / den
     else:
-        if phi.depth == 1:
-            integral = W @ phi.values
-        elif phi.depth == 2:
-            integral = np.einsum("ki,ij,kj->k", W, phi.values, W)
-        else:
-            raise DepthUnsupported("dense scan integrates depth <= 2")
-        obj = h + integral
+        obj = h + _scan_integral(W, phi)
     obj = np.where(feasible, obj, -np.inf)
     best = int(np.argmax(obj))
     return BruteVariationalResult(float(obj[best]), W[best].copy(), True)

@@ -19,6 +19,7 @@ from scipy.optimize import linprog
 
 from .errors import DepthUnsupported, InfeasibleConstraint, ValidationError
 from .logsum import NEG_INF, logsumexp
+from .mfzeta import resolve_level
 from .model import (
     LevelMap,
     MarkovWeights,
@@ -26,6 +27,7 @@ from .model import (
     PotentialTable,
     ProductMeasureWeights,
     TargetBox,
+    build_potentials,
     entropy,
     integrate,
     level_map,
@@ -431,34 +433,28 @@ def _box_gap_sq(u: np.ndarray, C: TargetBox) -> float:
 class _Problem:
     """Shared state for the constrained measure-family optimizers.
 
-    The constraint is either the level value (default) or the integral of
-    ``constraint_phi`` when one is given (Birkhoff-average constraints).
+    The constraint keeps the level value in C; the dimension objective
+    always divides by the model's scaling integral, whatever the level map.
     """
 
-    def __init__(self, spec, C, phi, objective, level, constraint_phi):
+    def __init__(self, spec, C, phi, objective, level):
         self.spec = spec
         self.C = C
         self.phi = phi
         self.objective = objective
-        self.level = level if level is not None else LevelMap.from_spec(spec)
-        self.constraint_phi = constraint_phi
+        self.level = resolve_level(spec, level, C)
+        self.lam = build_potentials(spec)[0]
 
     def constraint_value(self, x):
-        mu = self.measure(x)
-        if self.constraint_phi is not None:
-            return np.array([integrate(mu, self.constraint_phi)])
-        return level_map(mu, self.level)
+        return level_map(self.measure(x), self.level)
 
     def objective_value(self, x):
         mu = self.measure(x)
         if self.objective == "dimension":
-            return -entropy(mu) / integrate(mu, self.level.lam)
+            return -entropy(mu) / integrate(mu, self.lam)
         return entropy(mu) + integrate(mu, self.phi)
 
     def constraint_lipschitz(self):
-        if self.constraint_phi is not None:
-            v = self.constraint_phi.values
-            return float(v.max() - v.min()) * self.spec.N
         lev = self.level
         lam_abs = np.abs(lev.lam.values)
         lam_min = float(lam_abs.min())
@@ -482,11 +478,7 @@ class _BernoulliProblem(_Problem):
         return _simplex_grid(self.spec.N, grid_step, rng)
 
     def _face_gradients(self):
-        """Hyperplane normals g_m(c): face g . w = c is affine in w."""
-        if self.constraint_phi is not None:
-            if self.constraint_phi.depth != 1:
-                return None
-            return [(self.constraint_phi.values, True)]
+        """Pairs (phi_m, lam): face (phi_m - c lam) . w = 0 is affine in w."""
         if not self.level.is_depth1():
             return None
         P, lam = self.level.depth1_vectors()
@@ -495,8 +487,7 @@ class _BernoulliProblem(_Problem):
     def snap(self, w):
         """Exact affine correction onto the nearest violated box face.
 
-        Both constraint kinds are affine-representable in w: the observable
-        average w . f directly, and the level ratio after clearing its
+        The level ratio is affine-representable in w after clearing its
         sign-definite denominator.
         """
         faces = self._face_gradients()
@@ -514,15 +505,12 @@ class _BernoulliProblem(_Problem):
             if c is None:
                 continue
             grad, lam = faces[m]
-            if lam is True:
-                g, offset = grad, c  # face: g . w = c
-            else:
-                g, offset = grad - c * lam, 0.0  # face: (phi - c lam) . w = 0
+            g = grad - c * lam  # face: (phi - c lam) . w = 0
             g_t = g - g.mean()
             denom = float(g_t @ g_t)
             if denom <= 0:
                 return None
-            w2 = w2 - ((float(g @ w2) - offset) / denom) * g_t
+            w2 = w2 - (float(g @ w2) / denom) * g_t
             changed = True
         if not changed:
             return None
@@ -584,12 +572,8 @@ def _active_faces(problem, x, tol=1e-7):
         for c in (float(problem.C.lo[m]), float(problem.C.hi[m])):
             if abs(u[m] - c) <= tol:
                 grad, lam = faces[m]
-                if lam is True:
-                    rows.append(np.asarray(grad, dtype=float))
-                    rhs.append(c)
-                else:
-                    rows.append(np.asarray(grad - c * lam, dtype=float))
-                    rhs.append(0.0)
+                rows.append(np.asarray(grad - c * lam, dtype=float))
+                rhs.append(0.0)
                 break
     if len(rows) == 1:
         return None
@@ -720,27 +704,26 @@ def variational_solve(
     tol: float = 1e-6,
     seed: int = 0,
     level: Optional[LevelMap] = None,
-    constraint_phi: Optional[PotentialTable] = None,
 ) -> VariationalResult:
     """Constrained maximization of h + int(phi) (or -h / int(Lambda)) over a
     measure family.
 
-    The constraint keeps the level value in C, or the integral of
-    ``constraint_phi`` in C when one is given.  Dense grid seeding followed
-    by penalized projected-gradient polish; kept deliberately independent of
-    the Legendre machinery so route agreement is a real cross-check.
+    The constraint keeps the level value of ``level`` (the model's level
+    map by default) in C; Lambda is always the model's scaling potential.
+    Dense grid seeding followed by penalized projected-gradient polish;
+    kept deliberately independent of the Legendre machinery so route
+    agreement is a real cross-check.
     """
     if objective not in ("pressure", "dimension"):
         raise ValidationError("objective must be 'pressure' or 'dimension'")
     if objective == "pressure" and phi is None:
         raise ValidationError("pressure objective needs a potential")
     if family == "bernoulli":
-        problem = _BernoulliProblem(spec, C, phi, objective, level, constraint_phi)
+        problem = _BernoulliProblem(spec, C, phi, objective, level)
     elif family == "markov1":
-        for table in (phi, constraint_phi):
-            if table is not None and table.depth > 2:
-                raise DepthUnsupported("markov1 family integrates depth <= 2")
-        problem = _MarkovProblem(spec, C, phi, objective, level, constraint_phi)
+        if phi is not None and phi.depth > 2:
+            raise DepthUnsupported("markov1 family integrates depth <= 2")
+        problem = _MarkovProblem(spec, C, phi, objective, level)
     else:
         raise ValidationError("family must be 'bernoulli' or 'markov1'")
     x, val, gap = _variational_optimize(problem, grid_step, tol, seed)

@@ -12,10 +12,12 @@ from mfshift.birkhoff import (
 )
 from mfshift.errors import InfeasibleConstraint, ValidationError
 from mfshift.logsum import NEG_INF
+from mfshift.mfzeta import constrained_coefficient
 from mfshift.model import PotentialTable, TargetBox
+from mfshift.oracle import brute_constrained_sum, brute_variational, make_report
 from mfshift.symbolic import Word, cylinder_birkhoff_range, periodic_birkhoff_sum
 
-from conftest import zero_potential
+from conftest import scaling_potential, zero_potential
 
 LOG2 = math.log(2)
 
@@ -171,3 +173,35 @@ def test_periodic_discrepancy_bound_sampled_words():
         mid = 0.5 * (rng_range.lo + rng_range.hi)
         per = periodic_birkhoff_sum(f, w)
         assert abs(mid - per) / n <= periodic_discrepancy_bound(obs, n) + 1e-12
+
+
+def test_birkhoff_level_map_matches_oracle(quarter_spec):
+    # depth-1 and tail-sensitive depth-2 observables, both constraint modes,
+    # against literal word enumeration with explicit periodic tiling
+    rng = np.random.default_rng(13)
+    phi = scaling_potential(quarter_spec).scale(0.4)
+    for values in (np.array([1.0, -0.5]), rng.uniform(-1.0, 1.0, size=(2, 2))):
+        level = ObservableTable(PotentialTable(values)).as_level_map()
+        for C in (TargetBox.interval(-0.2, 0.4), TargetBox.interval(0.1, 0.9)):
+            for mode in ("L", "M"):
+                for n in range(1, 11):
+                    naive = brute_constrained_sum(quarter_spec, phi, C, n, mode, level)
+                    fast = constrained_coefficient(
+                        quarter_spec, phi, C, n, mode, level
+                    )
+                    assert (naive == NEG_INF) == (fast == NEG_INF)
+                    rep = make_report("birkhoff", naive, fast, f"n={n}")
+                    assert rep.rel_deviation < 1e-12
+
+
+def test_erg_variational_matches_dense_scan(uniform_spec):
+    obs = indicator_obs()
+    for C in (
+        TargetBox.point(0.3),
+        TargetBox.interval(0.1, 0.25),
+        TargetBox.interval(0.6, 0.9),
+    ):
+        fast = erg_spectrum_variational(uniform_spec, obs, C).value
+        scan = brute_variational(uniform_spec, C, level=obs.as_level_map())
+        assert scan.feasible
+        assert make_report("birkhoff", scan.value, fast, "").rel_deviation < 2e-3

@@ -239,11 +239,24 @@ def test_missing_model_exit_3(capsys):
 
 
 def test_bad_target_dimension_exit_3(quarter_file, capsys):
-    code, _, err = run_cli(
-        ["sup-spectrum", "--model", quarter_file, "--target", "0.5:0.9,0.1:0.2"],
-        capsys,
+    for command, target in (
+        ("sup-spectrum", "0.5:0.9,0.1:0.2"),
+        ("mf-bowen", "0.1:5,0.1:5"),
+    ):
+        code, _, err = run_cli(
+            [command, "--model", quarter_file, "--target", target], capsys
+        )
+        assert code == EXIT_PARSE
+
+
+@pytest.mark.parametrize("target", ["nan", "inf", "-inf", "0.5:inf"])
+def test_non_finite_target_exit_3(quarter_file, capsys, target):
+    code, out, err = run_cli(
+        ["mf-bowen", "--model", quarter_file, f"--target={target}"], capsys
     )
     assert code == EXIT_PARSE
+    assert out == ""
+    assert "error:" in err
 
 
 def test_output_file_written(quarter_file, tmp_path, capsys):

@@ -216,3 +216,22 @@ def test_bad_mode_rejected(quarter_spec):
         constrained_coefficient(
             quarter_spec, zero_potential(quarter_spec), VACUOUS, 3, mode="X"
         )
+
+
+def test_target_dimension_mismatch_rejected(quarter_spec):
+    from mfshift.spectrum import variational_solve
+
+    # M=1 model, two-dimensional box: broadcasting would silently accept it
+    C2 = TargetBox.interval([0.1, 0.1], [5.0, 5.0])
+    phi0 = zero_potential(quarter_spec)
+    calls = [
+        lambda: constrained_coefficient(quarter_spec, phi0, C2, 10),
+        lambda: mf_zeta_series(quarter_spec, phi0, C2, 5),
+        lambda: mf_pressure_window(quarter_spec, phi0, C2, range(3, 6)),
+        lambda: mf_bowen_fixed(quarter_spec, C2, n_max=40),
+        lambda: mf_bowen_shrinking(quarter_spec, C2, n_max=40),
+        lambda: variational_solve(quarter_spec, C2, objective="dimension"),
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError):
+            call()

@@ -216,3 +216,13 @@ def test_level_map_rejects_nonnegative_denominator():
             (PotentialTable(np.array([-1.0, -1.0])),),
             PotentialTable(np.array([0.5, -1.0])),
         )
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_target_box_rejects_non_finite(bad):
+    with pytest.raises(ValidationError):
+        TargetBox.point(bad)
+    with pytest.raises(ValidationError):
+        TargetBox.interval([0.0, bad], [1.0, 1.0])
+    with pytest.raises(ValidationError):
+        TargetBox.interval(-1.0, bad)
