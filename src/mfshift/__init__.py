@@ -78,10 +78,8 @@ from .spectrum import (
 )
 from .symbolic import (
     BirkhoffRange,
-    CompositionClass,
     Word,
     cylinder_birkhoff_range,
-    enumerate_compositions,
     enumerate_words,
     periodic_birkhoff_sum,
 )

@@ -6,7 +6,7 @@ class MfShiftError(Exception):
 
 
 class BudgetExceeded(MfShiftError):
-    """Word enumeration would exceed the configured evaluation budget."""
+    """Word or class enumeration would exceed the configured evaluation budget."""
 
 
 class DepthExceedsBudget(BudgetExceeded):

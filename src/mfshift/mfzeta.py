@@ -23,8 +23,9 @@ from .model import LevelMap, ModelSpec, PotentialTable, TargetBox, moran_dimensi
 from .pressure import SeriesCoefficients, bowen_root, default_tail_window
 from .symbolic import (
     DEFAULT_BUDGET,
+    check_class_budget,
     composition_arrays,
-    periodic_tail_index,
+    periodic_sums,
     tail_sum_matrix,
     word_blocks,
 )
@@ -62,37 +63,38 @@ def _class_ratio_points(level: LevelMap, counts: np.ndarray) -> np.ndarray:
     return num / den[:, None]
 
 
-def _word_ratio_data(level: LevelMap, words: np.ndarray, budget: int):
-    """Per-word level geometry for a general level map.
+def _word_hulls(level: LevelMap, words: np.ndarray, budget: int):
+    """Componentwise interval of level values over every tail extension.
 
-    Returns (hull_lo, hull_hi, periodic) arrays of shape (B, M): the exact
-    componentwise interval of level values over all tail extensions, and
-    the single level point of the periodic extension.  The periodic point
-    is one of the enumerated tails, so it lies inside the hull bit for bit.
+    Returns (hull_lo, hull_hi) arrays of shape (B, M) for a general level
+    map; the periodic point is one of the enumerated tails, so it lies
+    inside the hull bit for bit.
     """
     depth = level.depth
-    lam_k = level.lam.lift(depth)
-    s_lam = tail_sum_matrix(lam_k, words, budget)  # (B, T)
+    s_lam = tail_sum_matrix(level.lam.lift(depth), words, budget)  # (B, T)
     B = words.shape[0]
-    M = level.M
-    ratios = np.empty((B, s_lam.shape[1], M), dtype=float)
+    ratios = np.empty((B, s_lam.shape[1], level.M), dtype=float)
     for m, phi in enumerate(level.phis):
-        s_phi = tail_sum_matrix(phi.lift(depth), words, budget)
-        ratios[:, :, m] = s_phi / s_lam
-    t_per = periodic_tail_index(words, depth, level.N)
-    hull_lo = ratios.min(axis=1)
-    hull_hi = ratios.max(axis=1)
-    periodic = ratios[np.arange(B), t_per, :]
-    return hull_lo, hull_hi, periodic
+        ratios[:, :, m] = tail_sum_matrix(phi.lift(depth), words, budget) / s_lam
+    return ratios.min(axis=1), ratios.max(axis=1)
+
+
+def _word_periodic_points(level: LevelMap, words: np.ndarray) -> np.ndarray:
+    """Level point of each word's periodic extension, (B, M)."""
+    depth = level.depth
+    s_lam = periodic_sums(level.lam.lift(depth), words)
+    return np.stack(
+        [periodic_sums(phi.lift(depth), words) / s_lam for phi in level.phis],
+        axis=1,
+    )
 
 
 def _word_mask(
     level: LevelMap, C: TargetBox, words: np.ndarray, mode: str, budget: int
 ) -> np.ndarray:
-    hull_lo, hull_hi, periodic = _word_ratio_data(level, words, budget)
-    if mode == "L":
-        return C.contains_interval_hulls(hull_lo, hull_hi)
-    return C.contains_points(periodic)
+    if mode == "M":
+        return C.contains_points(_word_periodic_points(level, words))
+    return C.contains_interval_hulls(*_word_hulls(level, words, budget))
 
 
 def constrained_coefficient(
@@ -115,6 +117,7 @@ def constrained_coefficient(
     _check_mode(mode)
     lev = resolve_level(spec, level, C)
     if phi.depth == 1 and (C is None or lev.is_depth1()):
+        check_class_budget((n,), spec.N, budget)
         counts, log_mult = composition_arrays(n, spec.N)
         terms = log_mult + counts @ phi.values
         if C is None:
@@ -217,6 +220,8 @@ def _lambda_profiles(
 ):
     """Per-n (weights, scaling-sum) pairs for t -> constrained sum of t*Lambda."""
     lam_vec = spec.log_ratios
+    if level.is_depth1():
+        check_class_budget(n_values, spec.N, budget)
     profiles = []
     for n in n_values:
         if level.is_depth1():
@@ -241,29 +246,47 @@ def _lambda_profiles(
     return profiles
 
 
-def _window_upper(profiles, n_values, t: float) -> float:
-    best = NEG_INF
-    for n, prof in zip(n_values, profiles):
-        if prof is None:
-            continue
-        w, s = prof
-        val = logsumexp(w + t * s) / n
-        if val > best:
-            best = val
-    return best
+def _window_upper_fn(profiles, n_values):
+    """t -> max over the window of (1/n) LSE_j(w_j + t * s_j), or None.
+
+    The non-empty profiles are stacked once into flat arrays with segment
+    starts, so each evaluation is a fixed number of array operations
+    however many levels the window holds.  None when every level is empty.
+    """
+    kept = [(n, p) for n, p in zip(n_values, profiles) if p is not None]
+    if not kept:
+        return None
+    W = np.concatenate([p[0] for _, p in kept])
+    S = np.concatenate([p[1] for _, p in kept])
+    lengths = np.array([p[0].size for _, p in kept])
+    starts = np.concatenate(([0], np.cumsum(lengths[:-1])))
+    ns = np.array([n for n, _ in kept], dtype=float)
+    buf = np.empty_like(W)
+
+    def upper(t: float) -> float:
+        x = np.add(W, np.multiply(S, t, out=buf), out=buf)
+        m = np.maximum.reduceat(x, starts)
+        # a level whose terms are all -inf is an empty sum (log 0)
+        m[m == NEG_INF] = 0.0
+        np.exp(np.subtract(x, np.repeat(m, lengths), out=x), out=x)
+        with np.errstate(divide="ignore"):
+            vals = (m + np.log(np.add.reduceat(x, starts))) / ns
+        return float(vals.max())
+
+    return upper
 
 
-def _solve_profiles(
-    profiles, n_values, spec: ModelSpec, tol: float
-) -> float:
-    if all(p is None for p in profiles):
+def _solve_window(by_n: dict, n_values, spec: ModelSpec, tol: float) -> float:
+    """Bowen root of the window upper value; -inf for an empty window.
+
+    The window's profiles are popped from ``by_n`` as they are stacked, so
+    the per-level arrays do not outlive the stacked copy.
+    """
+    upper = _window_upper_fn([by_n.pop(n) for n in n_values], n_values)
+    if upper is None:
         return NEG_INF
     s0 = moran_dimension(spec)
-    return bowen_root(
-        lambda t: _window_upper(profiles, n_values, t),
-        bracket=(-0.25, s0 + 0.25),
-        tol=tol,
-    )
+    return bowen_root(upper, bracket=(-0.25, s0 + 0.25), tol=tol)
 
 
 def solver_window(n_max: int) -> range:
@@ -289,10 +312,10 @@ def _solve_refined(spec, n_max, tol, profile_fn, refine):
     ns_half = list(solver_window(n_max // 2)) if use_refine else []
     all_ns = sorted(set(ns_half) | set(ns_full))
     by_n = dict(zip(all_ns, profile_fn(all_ns)))
-    t_full = _solve_profiles([by_n[n] for n in ns_full], ns_full, spec, tol)
+    t_full = _solve_window(by_n, ns_full, spec, tol)
     if not ns_half or t_full == NEG_INF:
         return t_full
-    t_half = _solve_profiles([by_n[n] for n in ns_half], ns_half, spec, tol)
+    t_half = _solve_window(by_n, ns_half, spec, tol)
     if t_half == NEG_INF:
         return t_full
     n1, n2 = n_max, n_max // 2

@@ -16,7 +16,13 @@ import numpy as np
 from .errors import AllEmpty, BracketFailure, DepthUnsupported, ValidationError
 from .logsum import LogAccumulator, logsumexp
 from .model import PotentialTable
-from .symbolic import DEFAULT_BUDGET, composition_arrays, tail_sum_matrix, word_blocks
+from .symbolic import (
+    DEFAULT_BUDGET,
+    check_class_budget,
+    composition_arrays,
+    tail_sum_matrix,
+    word_blocks,
+)
 
 
 @dataclass(frozen=True)
@@ -68,6 +74,7 @@ def _cylinder_log_sum(
 ) -> float:
     """log sum_{|i|=n} sup_[i] exp S_n(phi) via classes or enumeration."""
     if phi.depth == 1:
+        check_class_budget((n,), phi.N, budget)
         counts, log_mult = composition_arrays(n, phi.N)
         return logsumexp(log_mult + counts @ phi.values)
     acc = LogAccumulator()

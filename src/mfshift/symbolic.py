@@ -1,17 +1,18 @@
 """Finite-word combinatorics over the alphabet {1..N}.
 
-Provides word and composition-class streams, exact Birkhoff-sum ranges over
-cylinders, periodic-point Birkhoff sums, and the vectorized kernels the
-pressure and constrained-pressure modules aggregate with.  Words are 1-based
-in the public API; the array kernels use 0-based symbol blocks.
+Provides the word stream, composition-class arrays, exact Birkhoff-sum
+ranges over cylinders, periodic-point Birkhoff sums, and the vectorized
+kernels the pressure and constrained-pressure modules aggregate with.  Words
+are 1-based in the public API; the array kernels use 0-based symbol blocks.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -41,18 +42,6 @@ class Word:
 
     def __iter__(self):
         return iter(self.symbols)
-
-
-@dataclass(frozen=True)
-class CompositionClass:
-    """Symbol counts (k_1..k_N) of a word plus the log multinomial weight."""
-
-    counts: tuple
-    log_multiplicity: float
-
-    @property
-    def n(self) -> int:
-        return sum(self.counts)
 
 
 @dataclass(frozen=True)
@@ -96,38 +85,110 @@ def enumerate_words(
         symbols[j] += 1
 
 
-def enumerate_compositions(n: int, N: int) -> Iterator[CompositionClass]:
-    """All C(n+N-1, N-1) symbol-count classes of length-n words.
+def class_count(n: int, N: int) -> int:
+    """Number of composition classes of length-n words: C(n+N-1, N-1)."""
+    return math.comb(n + N - 1, N - 1)
 
-    The sum over classes of the (exact) multiplicities is N^n; classes are
-    the sufficient statistic for depth-1 Birkhoff sums.
+
+def check_class_budget(
+    n_values: Iterable[int], N: int, budget: int = DEFAULT_BUDGET
+) -> int:
+    """Total class count over the levels n_values; raises past the budget.
+
+    Callers check before generating any level, so work that cannot fit is
+    refused up front instead of after part of it has been built.
+    """
+    total = sum(class_count(int(n), N) for n in n_values)
+    if total > budget:
+        raise BudgetExceeded(
+            f"{total} composition classes (N={N}) exceed budget {budget}"
+        )
+    return total
+
+
+# Composition-class arrays are cached per (n, N) up to this many array
+# bytes; a Bowen window revisits its levels at every target.
+CLASS_CACHE_BYTES = 64 * 2**20
+
+
+class _ByteLRU:
+    """Least-recently-used map from (n, N) to read-only arrays, capped in bytes."""
+
+    def __init__(self, cap_bytes: int):
+        self.cap_bytes = cap_bytes
+        self.nbytes = 0
+        self._items: OrderedDict = OrderedDict()
+
+    def __contains__(self, key) -> bool:
+        return key in self._items
+
+    def get(self, key):
+        arrays = self._items.get(key)
+        if arrays is not None:
+            self._items.move_to_end(key)
+        return arrays
+
+    def put(self, key, arrays) -> None:
+        size = sum(a.nbytes for a in arrays)
+        if key in self._items or size > self.cap_bytes:
+            return
+        while self.nbytes + size > self.cap_bytes:
+            _, old = self._items.popitem(last=False)
+            self.nbytes -= sum(a.nbytes for a in old)
+        self._items[key] = arrays
+        self.nbytes += size
+
+
+_CLASS_CACHE = _ByteLRU(CLASS_CACHE_BYTES)
+
+
+def _log_factorials(n: int) -> np.ndarray:
+    """log k! for k = 0..n, accumulated in extended precision."""
+    lf = np.zeros(n + 1, dtype=np.longdouble)
+    np.cumsum(np.log(np.arange(1, n + 1, dtype=np.longdouble)), out=lf[1:])
+    return lf
+
+
+def composition_arrays(n: int, N: int):
+    """(counts, log_mult) arrays over all composition classes of (n, N).
+
+    ``counts`` is a read-only (K, N) int32 array of symbol counts with
+    K = C(n+N-1, N-1) rows, in descending lexicographic order: the first
+    count runs from n down to 0, and the remaining counts follow the same
+    order for each value of it.  ``log_mult`` holds the log multinomial
+    coefficients log(n! / (k_1! ... k_N!)), which sum (exponentiated) to
+    N^n over the rows.  Rows come from stars and bars: each choice of N-1
+    bar positions among n+N-1 slots is one class.  Log-multiplicities are
+    formed in extended precision and rounded to float64 once.
     """
     if n < 1 or N < 2:
         raise ValidationError("need n >= 1 and N >= 2")
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            yield prefix + (remaining,)
-            return
-        for k in range(remaining, -1, -1):
-            yield from rec(prefix + (k,), remaining - k, slots - 1)
-
-    for counts in rec((), n, N):
-        yield CompositionClass(counts, math.log(multinomial(counts)))
-
-
-@lru_cache(maxsize=512)
-def composition_arrays(n: int, N: int):
-    """(counts, log_mult) arrays over all composition classes of (n, N)."""
-    counts = []
-    log_mult = []
-    for c in enumerate_compositions(n, N):
-        counts.append(c.counts)
-        log_mult.append(c.log_multiplicity)
-    counts = np.array(counts, dtype=np.int64)
-    log_mult = np.array(log_mult, dtype=float)
+    key = (int(n), int(N))
+    cached = _CLASS_CACHE.get(key)
+    if cached is not None:
+        return cached
+    n, N = key
+    bars = np.fromiter(
+        itertools.combinations(range(n + N - 1), N - 1),
+        dtype=np.dtype((np.int32, N - 1)),
+        count=class_count(n, N),
+    )
+    # combinations() yields bar positions in ascending lexicographic order,
+    # which is ascending order of the counts, so the rows are reversed
+    counts = np.diff(
+        bars[::-1], axis=1, prepend=np.int32(-1), append=np.int32(n + N - 1)
+    )
+    counts -= 1
+    del bars
+    lf = _log_factorials(n)
+    # one column at a time keeps the extended-precision temporaries at (K,)
+    denom = lf[counts[:, 0]]
+    for j in range(1, N):
+        denom += lf[counts[:, j]]
+    log_mult = (lf[n] - denom).astype(np.float64)
     counts.flags.writeable = False
     log_mult.flags.writeable = False
+    _CLASS_CACHE.put(key, (counts, log_mult))
     return counts, log_mult
 
 
@@ -180,11 +241,31 @@ def tail_sum_matrix(
         ext = np.concatenate(
             [words, np.broadcast_to(tails[t], (B, k - 1))], axis=1
         )
-        s = np.zeros(B, dtype=float)
-        for j in range(n):
-            s += phi.values[tuple(ext[:, j + d] for d in range(k))]
-        out[:, t] = s
+        out[:, t] = _extension_sums(phi, ext, n)
     return out
+
+
+def _extension_sums(phi: PotentialTable, ext: np.ndarray, n: int) -> np.ndarray:
+    """S_n(phi) over extended words (B, n+k-1), in increasing position order."""
+    k = phi.depth
+    s = np.zeros(ext.shape[0], dtype=float)
+    for j in range(n):
+        s += phi.values[tuple(ext[:, j + d] for d in range(k))]
+    return s
+
+
+def periodic_sums(phi: PotentialTable, words: np.ndarray) -> np.ndarray:
+    """S_n(phi) at the periodic point of every word of a (B, n) block.
+
+    Only the wrap-around tail is summed, in the same position order as
+    tail_sum_matrix, so the result equals its column periodic_tail_index
+    bit for bit without building the other N^(k-1) - 1 columns.
+    """
+    n = words.shape[1]
+    if phi.depth == 1:
+        return phi.values[words].sum(axis=1)
+    wrap = [d % n for d in range(phi.depth - 1)]
+    return _extension_sums(phi, np.concatenate([words, words[:, wrap]], axis=1), n)
 
 
 def periodic_tail_index(words: np.ndarray, depth: int, N: int) -> np.ndarray:
@@ -215,11 +296,9 @@ def cylinder_birkhoff_range(
 def periodic_birkhoff_sum(phi: PotentialTable, w: Word) -> float:
     """S_n(phi) at the periodic point www...; tails wrap around cyclically.
 
-    Evaluates through the same kernel as cylinder_birkhoff_range (the
-    wrap-around tail is one of the enumerated extensions), so the result
-    always lies inside that range, bit for bit.
+    Sums the wrap-around extension in the same order as
+    cylinder_birkhoff_range sums every extension (it is one of them), so
+    the result always lies inside that range, bit for bit.
     """
     arr = np.array([s - 1 for s in w.symbols], dtype=np.int64)[None, :]
-    mat = tail_sum_matrix(phi, arr)
-    t = periodic_tail_index(arr, phi.depth, phi.N)
-    return float(mat[0, t[0]])
+    return float(periodic_sums(phi, arr)[0])

@@ -2,11 +2,13 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
 from mfshift.cli import (
+    EXIT_BUDGET,
     EXIT_DEGENERATE,
     EXIT_OK,
     EXIT_PARSE,
@@ -247,6 +249,22 @@ def test_bad_target_dimension_exit_3(quarter_file, capsys):
             [command, "--model", quarter_file, "--target", target], capsys
         )
         assert code == EXIT_PARSE
+
+
+def test_class_budget_exit_4(tmp_path, capsys):
+    # N=4 at --n-max 400 needs about 7.9e8 classes over the Bowen window
+    path = tmp_path / "quad.json"
+    path.write_text(
+        json.dumps({"ratios": [0.25] * 4, "measures": [[0.1, 0.2, 0.3, 0.4]]})
+    )
+    t0 = time.perf_counter()
+    code, out, err = run_cli(
+        ["mf-bowen", "--model", str(path), "--target", "0.5:1.5", "--n-max", "400"],
+        capsys,
+    )
+    assert code == EXIT_BUDGET
+    assert time.perf_counter() - t0 < 5.0
+    assert out == "" and "budget" in err
 
 
 @pytest.mark.parametrize("target", ["nan", "inf", "-inf", "0.5:inf"])

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from mfshift.errors import ScheduleTooShort, ValidationError
-from mfshift.logsum import NEG_INF
+from mfshift import mfzeta, pressure
+from mfshift.errors import BudgetExceeded, ScheduleTooShort, ValidationError
+from mfshift.logsum import NEG_INF, logsumexp
 from mfshift.mfzeta import (
+    _window_upper_fn,
     constrained_coefficient,
     level_tail_lipschitz,
     mf_bowen_fixed,
@@ -14,7 +16,7 @@ from mfshift.mfzeta import (
     mf_zeta_series,
     sandwich_threshold,
 )
-from mfshift.model import TargetBox
+from mfshift.model import ModelSpec, TargetBox
 from mfshift.pressure import pressure_level, zeta_coefficients
 from mfshift.spectrum import sup_spectrum
 
@@ -235,3 +237,79 @@ def test_target_dimension_mismatch_rejected(quarter_spec):
     for call in calls:
         with pytest.raises(ValidationError):
             call()
+
+
+QUAD = ModelSpec(ratios=[0.25] * 4, measures=[[0.1, 0.2, 0.3, 0.4]], label="quad")
+
+
+def test_class_budget_refused_before_generation(monkeypatch):
+    calls = []
+
+    def recording(n, N):
+        calls.append((n, N))
+        raise AssertionError("classes generated past the budget check")
+
+    monkeypatch.setattr(mfzeta, "composition_arrays", recording)
+    monkeypatch.setattr(pressure, "composition_arrays", recording)
+    C = TargetBox.interval(0.5, 1.5)
+    phi0 = zero_potential(QUAD)
+    # N=4 over the n_max=400 Bowen window: about 7.9e8 classes
+    with pytest.raises(BudgetExceeded):
+        mf_bowen_fixed(QUAD, C, n_max=400)
+    with pytest.raises(BudgetExceeded):
+        mf_bowen_fixed(QUAD, C, n_max=60, budget=10**5)
+    # per level: C(23, 3) = 1771 classes at n = 20
+    with pytest.raises(BudgetExceeded):
+        constrained_coefficient(QUAD, phi0, C, 20, budget=1770)
+    with pytest.raises(BudgetExceeded):
+        constrained_coefficient(QUAD, phi0, None, 20, budget=1770)
+    with pytest.raises(BudgetExceeded):
+        pressure_level(phi0, 20, budget=1770)
+    assert calls == []
+
+
+def test_class_budget_admits_what_fits(ternary_spec):
+    phi0 = zero_potential(ternary_spec)
+    # C(12, 2) = 66 classes at n = 10: exactly the budget
+    v = constrained_coefficient(ternary_spec, phi0, None, 10, budget=66)
+    assert v == pytest.approx(10 * math.log(3), rel=1e-14)
+    assert pressure_level(phi0, 10, budget=66) == pytest.approx(math.log(3))
+
+
+def test_stacked_window_matches_per_level_logsumexp():
+    rng = np.random.default_rng(5)
+    ns = list(range(40, 60))
+    profiles = []
+    for n in ns:
+        kind = n % 5
+        if kind == 0:
+            profiles.append(None)
+        elif kind == 1:
+            profiles.append((rng.uniform(-5, 5, 1), rng.uniform(-40, -1, 1)))
+        elif kind == 2:
+            profiles.append((np.full(7, NEG_INF), rng.uniform(-40, -1, 7)))
+        else:
+            k = int(rng.integers(2, 3000))
+            profiles.append((rng.uniform(0, 3 * n, k), rng.uniform(-2 * n, -n, k)))
+    upper = _window_upper_fn(profiles, ns)
+    for t in np.linspace(-3.0, 4.0, 50):
+        ref = max(
+            (logsumexp(p[0] + t * p[1]) / n for n, p in zip(ns, profiles) if p),
+            default=NEG_INF,
+        )
+        assert abs(upper(t) - ref) <= 1e-13 * max(1.0, abs(ref))
+    # a window whose every level is empty, or holds only -inf terms
+    assert _window_upper_fn([None, None], [3, 4]) is None
+    only_inf = _window_upper_fn([(np.full(3, NEG_INF), np.ones(3))], [3])
+    assert only_inf(0.5) == NEG_INF
+
+
+@pytest.mark.parametrize(
+    "spec_name, n_max, root",
+    [("quarter_spec", 400, 0.8885052373996353), ("ternary_spec", 200, 0.8943223400231585)],
+)
+def test_mf_bowen_fixed_reproduces_recorded_roots(request, spec_name, n_max, root):
+    # criterion 06's box; roots recorded from the per-level window evaluation
+    spec = request.getfixturevalue(spec_name)
+    v = mf_bowen_fixed(spec, TargetBox.interval(0.7, 0.9), n_max=n_max, tol=1e-6)
+    assert v == root

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,17 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mfshift import symbolic
 from mfshift.errors import BudgetExceeded, ValidationError
 from mfshift.model import PotentialTable
 from mfshift.symbolic import (
+    CLASS_CACHE_BYTES,
     BirkhoffRange,
     Word,
+    check_class_budget,
     composition_arrays,
     cylinder_birkhoff_range,
-    enumerate_compositions,
     enumerate_words,
     multinomial,
     periodic_birkhoff_sum,
+    periodic_sums,
     periodic_tail_index,
     tail_sum_matrix,
     word_blocks,
@@ -48,25 +52,30 @@ def test_word_validation():
         Word((), 2)
 
 
+def class_rows(n, N):
+    counts, log_mult = composition_arrays(n, N)
+    return [tuple(row) for row in counts.tolist()], log_mult
+
+
 def test_compositions_binomial_row():
-    classes = {c.counts: c.log_multiplicity for c in enumerate_compositions(2, 2)}
+    rows, log_mult = class_rows(2, 2)
+    classes = dict(zip(rows, log_mult))
     assert set(classes) == {(2, 0), (1, 1), (0, 2)}
     assert classes[(1, 1)] == pytest.approx(math.log(2), abs=1e-15)
 
 
 def test_compositions_pascal_row_10():
-    classes = list(enumerate_compositions(10, 2))
-    assert len(classes) == 11
-    for c in classes:
-        k = c.counts[1]
-        assert c.log_multiplicity == pytest.approx(math.log(math.comb(10, k)))
+    rows, log_mult = class_rows(10, 2)
+    assert len(rows) == 11
+    for row, lm in zip(rows, log_mult):
+        assert lm == pytest.approx(math.log(math.comb(10, row[1])))
 
 
 def test_compositions_ternary_word_count():
     # brute-force word enumeration is the oracle for the class multiplicities
-    classes = list(enumerate_compositions(3, 3))
-    assert len(classes) == 10
-    total = sum(round(math.exp(c.log_multiplicity)) for c in classes)
+    rows, log_mult = class_rows(3, 3)
+    assert len(rows) == 10
+    total = sum(round(math.exp(lm)) for lm in log_mult)
     assert total == 27
     from collections import Counter
 
@@ -74,15 +83,76 @@ def test_compositions_ternary_word_count():
     for w in enumerate_words(3, 3):
         counts = tuple(sum(1 for s in w if s == i) for i in (1, 2, 3))
         brute[counts] += 1
-    for c in classes:
-        assert brute[c.counts] == multinomial(c.counts)
+    for row in rows:
+        assert brute[row] == multinomial(row)
 
 
 @pytest.mark.parametrize("N", [2, 3])
 @pytest.mark.parametrize("n", [1, 5, 12, 20])
 def test_multiplicity_partition_exact(n, N):
-    total = sum(multinomial(c.counts) for c in enumerate_compositions(n, N))
+    rows, _ = class_rows(n, N)
+    total = sum(multinomial(row) for row in rows)
     assert total == N**n
+
+
+@pytest.mark.parametrize("n, N", [(1, 2), (4, 3), (7, 4), (5, 5), (12, 3)])
+def test_composition_rows_descending_lexicographic(n, N):
+    # every composition once; the first count runs from n down to 0 and the
+    # rest follow in reverse lexicographic order
+    expected = sorted(
+        (c for c in itertools.product(range(n + 1), repeat=N) if sum(c) == n),
+        reverse=True,
+    )
+    counts, log_mult = composition_arrays(n, N)
+    assert [tuple(row) for row in counts.tolist()] == expected
+    assert counts.dtype == np.int32 and log_mult.dtype == np.float64
+    assert not counts.flags.writeable and not log_mult.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "n, N",
+    [(n, N) for n in range(1, 13) for N in (2, 3, 4)]
+    + [(60, 4), (200, 3), (400, 2)],
+)
+def test_log_multiplicity_matches_exact_multinomial(n, N):
+    counts, log_mult = composition_arrays(n, N)
+    exact = np.array([math.log(multinomial(row)) for row in counts.tolist()])
+    assert np.all(np.abs(log_mult - exact) <= 1e-15 * np.abs(exact))
+
+
+def test_composition_arrays_validation():
+    with pytest.raises(ValidationError):
+        composition_arrays(0, 2)
+    with pytest.raises(ValidationError):
+        composition_arrays(3, 1)
+
+
+def test_class_budget_counts_every_level():
+    assert check_class_budget([3, 4], 3, budget=25) == 10 + 15
+    with pytest.raises(BudgetExceeded):
+        check_class_budget([3, 4], 3, budget=24)
+
+
+def test_class_cache_bounded_in_bytes(monkeypatch):
+    assert CLASS_CACHE_BYTES == 64 * 2**20
+    assert symbolic._CLASS_CACHE.nbytes <= CLASS_CACHE_BYTES
+    sizes = {
+        n: sum(a.nbytes for a in composition_arrays(n, 3)) for n in (30, 31, 32, 33)
+    }
+    cache = symbolic._ByteLRU(sizes[30] + sizes[32] + sizes[33])
+    monkeypatch.setattr(symbolic, "_CLASS_CACHE", cache)
+    first = composition_arrays(30, 3)
+    for n in (31, 32, 30, 33):  # the second call for 30 makes it most recent
+        composition_arrays(n, 3)
+        assert cache.nbytes <= cache.cap_bytes
+    assert composition_arrays(30, 3)[0] is first[0]
+    assert (31, 3) not in cache
+    assert all((n, 3) in cache for n in (30, 32, 33))
+    assert cache.nbytes == sizes[30] + sizes[32] + sizes[33]
+    # a level larger than the whole cap is returned but never cached
+    counts, _ = composition_arrays(60, 4)
+    assert counts.shape == (math.comb(63, 3), 4)
+    assert (60, 4) not in cache and cache.nbytes <= cache.cap_bytes
 
 
 @settings(max_examples=40, deadline=None)
@@ -183,3 +253,16 @@ def test_tail_sum_matrix_depth2_columns():
     mat = tail_sum_matrix(phi, words)
     # tail 0: windows (00,01,10) -> 1; tail 1: windows (00,01,11) -> 2
     assert mat.tolist() == [[1.0, 2.0]]
+
+
+@pytest.mark.parametrize("depth", [2, 3])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_periodic_sums_match_tail_matrix_column(depth, n):
+    rng = np.random.default_rng(100 * depth + n)
+    N = 3 if depth == 2 else 2
+    phi = PotentialTable(rng.uniform(-2.0, 2.0, size=(N,) * depth))
+    words = np.vstack(list(word_blocks(n, N)))
+    column = tail_sum_matrix(phi, words)[
+        np.arange(len(words)), periodic_tail_index(words, depth, N)
+    ]
+    assert np.array_equal(periodic_sums(phi, words), column)
