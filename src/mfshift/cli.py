@@ -7,8 +7,8 @@ column order or a single JSON document mirroring the same fields; -inf
 values are emitted as the literal string "-inf" in CSV and as null plus a
 flag entry in JSON.
 
-Exit codes: 0 success, 2 infeasible or empty-constraint result, 3 parse or
-validation failure, 4 enumeration budget exceeded, 5 bracket failure.
+Exit codes: 0 success, 2 infeasible or empty-constraint result, 3 usage,
+parse or validation failure, 4 enumeration budget exceeded, 5 bracket failure.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import io
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -72,7 +71,6 @@ class RunConfig:
     tol: float = 1e-9
     output: str = "-"
     fmt: str = "csv"
-    workers: int = 1
     seed: int = 0
     timestamp: bool = True
 
@@ -259,35 +257,12 @@ def _scaling_potential(spec: ModelSpec) -> PotentialTable:
     return PotentialTable(spec.log_ratios)
 
 
-def _pressure_point(args):
-    spec, t = args
-    lam = _scaling_potential(spec)
-    return pressure_mod.pressure_exact(lam.scale(t))
-
-
-def _beta_point(args):
-    spec, q = args
-    bp = spectrum_mod.beta(spec, q)
-    return bp.beta, float(bp.alpha[0])
-
-
-def _spectrum_point(args):
-    spec, a = args
-    res = spectrum_mod.legendre(spec, a)
-    return res.f, float(res.q_star[0])
-
-
-def _map_grid(config: RunConfig, fn, items):
-    if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            return list(pool.map(fn, items, chunksize=8))
-    return [fn(item) for item in items]
-
-
 def cmd_pressure(config: RunConfig, spec: ModelSpec):
     grid = parse_grid(config.grid or "0:2:21")
-    values = _map_grid(config, _pressure_point, [(spec, t) for t in grid])
-    rows = [(float(t), float(v)) for t, v in zip(grid, values)]
+    lam = _scaling_potential(spec)
+    rows = [
+        (float(t), float(pressure_mod.pressure_exact(lam.scale(t)))) for t in grid
+    ]
     return ("t", "pressure"), rows, False
 
 
@@ -305,8 +280,10 @@ def cmd_beta(config: RunConfig, spec: ModelSpec):
     if spec.M != 1:
         raise ValidationError("beta grid command handles M=1 models")
     grid = parse_grid(config.grid or "-5:5:41")
-    values = _map_grid(config, _beta_point, [(spec, q) for q in grid])
-    rows = [(float(q), b, a) for q, (b, a) in zip(grid, values)]
+    rows = []
+    for q in grid:
+        bp = spectrum_mod.beta(spec, q)
+        rows.append((float(q), bp.beta, float(bp.alpha[0])))
     return ("q", "beta", "alpha"), rows, False
 
 
@@ -314,8 +291,10 @@ def cmd_spectrum(config: RunConfig, spec: ModelSpec):
     if spec.M != 1:
         raise ValidationError("spectrum grid command handles M=1 models")
     grid = parse_grid(config.grid or "0.4:2.0:33")
-    values = _map_grid(config, _spectrum_point, [(spec, a) for a in grid])
-    rows = [(float(a), f, q) for a, (f, q) in zip(grid, values)]
+    rows = []
+    for a in grid:
+        res = spectrum_mod.legendre(spec, a)
+        rows.append((float(a), res.f, float(res.q_star[0])))
     degenerate = all(f == NEG_INF for _, f, _ in rows)
     return ("alpha", "f", "q_at_min"), rows, degenerate
 
@@ -439,8 +418,16 @@ COMMANDS = {
 }
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a usage error as a ParseError (exit 3), not argparse's exit 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ParseError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _ArgumentParser(
         prog="mfshift",
         description="Multifractal pressure, zeta series and spectra on full shifts",
     )
@@ -465,7 +452,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--tol", type=float, default=1e-9)
         sp.add_argument("--output", default="-", help="output path, '-' for stdout")
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
-        sp.add_argument("--workers", type=int, default=1)
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument(
             "--no-timestamp",
@@ -492,7 +478,6 @@ def config_from_args(args) -> RunConfig:
         tol=args.tol,
         output=args.output,
         fmt=args.format,
-        workers=args.workers,
         seed=args.seed,
         timestamp=not args.no_timestamp,
     )
@@ -516,10 +501,8 @@ def run(config: RunConfig) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    config = config_from_args(args)
     try:
-        return run(config)
+        return run(config_from_args(build_parser().parse_args(argv)))
     except (ParseError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

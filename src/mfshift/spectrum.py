@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import DepthUnsupported, InfeasibleConstraint, ValidationError
 from .logsum import NEG_INF, logsumexp
@@ -34,6 +33,7 @@ from .model import (
 )
 
 DEFAULT_Q_CAP = 60.0
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -83,6 +83,17 @@ class VariationalResult:
     constraint_gap: float
 
 
+def linprog(*args, **kwargs):
+    """scipy.optimize.linprog, imported on the first call.
+
+    Only the M > 1 hull check and the box-supremum search solve linear
+    programs, so the scipy import is not paid on import of the package.
+    """
+    from scipy.optimize import linprog as scipy_linprog
+
+    return scipy_linprog(*args, **kwargs)
+
+
 def _as_q(spec: ModelSpec, q) -> np.ndarray:
     q = np.atleast_1d(np.asarray(q, dtype=float))
     if q.size != spec.M:
@@ -91,38 +102,34 @@ def _as_q(spec: ModelSpec, q) -> np.ndarray:
 
 
 def beta(spec: ModelSpec, q, tol: float = 1e-12) -> BetaPoint:
-    """Solve sum_i (prod_m p_{m,i}^{q_m}) r_i^b = 1 for b by bisection.
+    """Solve sum_i (prod_m p_{m,i}^{q_m}) r_i^b = 1 for b by Newton.
 
-    The left side is strictly decreasing in b because every r_i < 1, so the
-    root exists and is unique for every q.
+    g(b) = log sum_i exp(<q, log p_i> + b log r_i) is convex and strictly
+    decreasing because every r_i < 1, so the root exists, is unique, and
+    Newton converges to it from any start.  Its derivative g'(b) is the
+    Gibbs mean of log r, the same weights that give alpha.  The start is
+    the equal-ratio closed form with the mean of log r as the common ratio.
     """
     q = _as_q(spec, q)
     lp = spec.log_measures  # (M, N)
     lr = spec.log_ratios  # (N,)
     base = q @ lp  # (N,)
-
-    def g(b: float) -> float:
-        return logsumexp(base + b * lr)
-
-    lo, hi = -1.0, 1.0
-    while g(lo) < 0.0:
-        lo *= 2.0
-    while g(hi) > 0.0:
-        hi *= 2.0
-    for _ in range(200):
-        if hi - lo < 1e-15:
+    b = logsumexp(base) / -float(lr.mean())
+    for _ in range(100):
+        x = base + b * lr
+        top = float(x.max())
+        e = np.exp(x - top)
+        s = float(e.sum())
+        step = (top + math.log(s)) * s / float(e @ lr)
+        b -= step
+        if abs(step) <= 4.0 * _EPS * max(1.0, abs(b)):
             break
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if g(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    b = 0.5 * (lo + hi)
-    if abs(g(b)) > max(tol, 1e-11):
-        raise ValidationError("beta bisection failed to reach tolerance")
     w = np.exp(base + b * lr)
+    residual = math.log(float(w.sum()))
+    if not abs(residual) <= max(tol, 1e-11):
+        raise ValidationError(
+            f"beta Newton solve left residual {residual:.3e} at q={q.tolist()}"
+        )
     w = w / w.sum()
     alpha = (w @ lp.T) / (w @ lr)
     return BetaPoint(q, b, alpha, ProductMeasureWeights(w))
@@ -139,7 +146,7 @@ def beta_gradient(spec: ModelSpec, bp: BetaPoint) -> np.ndarray:
     return (w @ spec.log_measures.T) / (w @ spec.log_ratios)
 
 
-def _newton_jacobian(spec: ModelSpec, q: np.ndarray, bp: BetaPoint) -> np.ndarray:
+def _newton_jacobian(spec: ModelSpec, bp: BetaPoint) -> np.ndarray:
     """d alpha / d q at a solved beta point (implicit function theorem)."""
     lp = spec.log_measures
     lr = spec.log_ratios
@@ -223,19 +230,27 @@ def _legendre_scalar(
             bp = beta(spec, q_cap)
             f = a * q_cap + bp.beta
             return LegendreResult(f, np.array([q_cap]), boundary=True)
+    # safeguarded Newton on alpha(q) = a: a step that leaves the bracket
+    # is replaced by the bracket midpoint
+    width = max(tol * 1e-2, 1e-13)
+    q = 0.5 * (lo + hi)
+    bp = beta(spec, q)
     for _ in range(200):
-        if hi - lo < max(tol * 1e-2, 1e-13):
-            break
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if alpha_of(mid) > a:
-            lo = mid
+        h = float(bp.alpha[0]) - a
+        if h > 0.0:
+            lo = q
+        elif h < 0.0:
+            hi = q
         else:
-            hi = mid
-    q_star = 0.5 * (lo + hi)
-    bp = beta(spec, q_star)
-    return LegendreResult(a * q_star + bp.beta, np.array([q_star]))
+            break
+        q_new = q - h / float(_newton_jacobian(spec, bp)[0, 0])
+        if not lo < q_new < hi:
+            q_new = 0.5 * (lo + hi)
+        if abs(q_new - q) <= width or hi - lo <= width:
+            break
+        q = q_new
+        bp = beta(spec, q)
+    return LegendreResult(a * q + bp.beta, np.array([q]))
 
 
 def _legendre_newton(
@@ -250,12 +265,11 @@ def _legendre_newton(
         err = float(np.max(np.abs(h)))
         if err <= max(tol, 1e-12):
             break
-        J = _newton_jacobian(spec, q, bp)
-        try:
-            dq = np.linalg.solve(J, -h)
-        except np.linalg.LinAlgError:
-            dq = -h * 10.0
-        # damped update: keep the residual decreasing
+        J = _newton_jacobian(spec, bp)
+        # least squares: J is singular when the level set is degenerate
+        # (N=2 with two measures), and h then lies in its range
+        dq = np.linalg.lstsq(J, -h, rcond=None)[0]
+        # damped update: keep the residual decreasing, stop when it cannot
         step = 1.0
         for _ in range(40):
             q_new = q + step * dq
@@ -263,6 +277,8 @@ def _legendre_newton(
             if float(np.max(np.abs(bp_new.alpha - alpha))) < err:
                 break
             step *= 0.5
+        else:
+            break
         q, bp = q_new, bp_new
         if float(np.max(np.abs(q))) > q_cap:
             q = np.clip(q, -q_cap, q_cap)
@@ -280,8 +296,12 @@ def legendre(
 ) -> LegendreResult:
     """Spectrum value inf_q (<alpha, q> + beta(q)) at one alpha.
 
-    Scalar alpha uses bisection on the monotone tangency condition
-    -beta'(q) = alpha; vector alpha uses damped Newton on the gradient.
+    Scalar alpha brackets the monotone tangency condition -beta'(q) = alpha
+    by doubling out to the q-cap, then solves it by Newton with d alpha / d q
+    as the slope, falling back to the bracket midpoint whenever a step leaves
+    the bracket.  Vector alpha uses damped Newton on the gradient with a
+    least-squares step, so a singular Jacobian (a degenerate level set)
+    still gives the transform value.
     Unattainable alpha returns -inf; attainable-boundary alpha returns the
     limiting value at the q-cap with the boundary flag set.
     """

@@ -294,12 +294,38 @@ def test_output_file_written(quarter_file, tmp_path, capsys):
     assert out_path.read_text().startswith("quantity,value")
 
 
-def test_workers_match_serial_bytes(quarter_file, capsys):
-    base = ["spectrum", "--model", quarter_file, "--grid", "0.5:2.0:8"]
-    code1, serial, _ = run_cli(base, capsys)
-    code2, pooled, _ = run_cli(base + ["--workers", "2"], capsys)
-    assert code1 == code2 == EXIT_OK
-    assert serial == pooled
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["spectrum", "--workers", "2"],
+        ["zeta", "--n-max", "abc"],
+        ["no-such-command"],
+    ],
+)
+def test_usage_error_exit_3(quarter_file, capsys, args):
+    code, out, err = run_cli(args[:1] + ["--model", quarter_file] + args[1:], capsys)
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert "error:" in err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "--help"])
+    assert exc.value.code == 0
+    assert "--model" in capsys.readouterr().out
+
+
+def test_cli_import_skips_scipy_and_process_pool():
+    code = (
+        "import sys, mfshift.cli; "
+        "print(sorted(m for m in ('scipy.optimize', 'concurrent.futures.process') "
+        "if m in sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "[]"
 
 
 def test_pressure_command(golden_file, capsys):

@@ -13,6 +13,7 @@ from mfshift.model import (
     moran_dimension,
 )
 from mfshift.spectrum import (
+    DEFAULT_Q_CAP,
     beta,
     beta_gradient,
     legendre,
@@ -60,6 +61,29 @@ def test_beta_convexity_on_grid(quarter_spec):
     vals = np.array([beta(quarter_spec, q).beta for q in qs])
     assert np.all(np.diff(vals) < 0)
     assert np.min(np.diff(vals, 2)) >= -1e-10
+
+
+# q from -cap to cap, both ends included
+Q_WIDE = np.linspace(-DEFAULT_Q_CAP, DEFAULT_Q_CAP, 97)
+
+
+def test_beta_identity_unequal_ratios():
+    ratios = [0.4, 0.35, 0.3]
+    p = [0.2, 0.3, 0.5]
+    spec = ModelSpec(ratios=ratios, measures=[p])
+    for q in Q_WIDE:
+        b = beta(spec, q).beta
+        total = math.fsum(pi ** float(q) * ri**b for pi, ri in zip(p, ratios))
+        assert abs(math.log(total)) <= 1e-13, q
+
+
+def test_beta_matches_equal_ratio_closed_form(quarter_spec, ternary_spec):
+    for spec in (quarter_spec, ternary_spec):
+        p = spec.measures[0].tolist()
+        log_r = math.log(spec.ratios[0])
+        for q in Q_WIDE:
+            closed = math.log(math.fsum(pi ** float(q) for pi in p)) / -log_r
+            assert abs(beta(spec, q).beta - closed) <= 1e-13, (spec.label, q)
 
 
 def test_beta_gradient_examples(quarter_spec, uniform_spec):
@@ -129,6 +153,27 @@ def test_spectrum_sweep_concave_with_unit_peak(quarter_spec):
     assert np.max(second) <= 1e-8  # concavity along the grid
 
 
+def _equal_ratio_curve(spec, q):
+    """Closed-form (alpha(q), f(alpha(q))) of an equal-ratio M = 1 model."""
+    p = spec.measures[0].tolist()
+    log_r = math.log(spec.ratios[0])
+    z = math.fsum(pi**q for pi in p)
+    b = math.log(z) / -log_r
+    a = math.fsum(pi**q * math.log(pi) for pi in p) / (z * log_r)
+    return a, q * a + b
+
+
+@pytest.mark.parametrize("name,count", [("quarter", 161), ("ternary", 41)])
+def test_legendre_matches_parametric_closed_form(name, count, request):
+    spec = request.getfixturevalue(f"{name}_spec")
+    for q in np.linspace(-10.0, 10.0, count):
+        a, f = _equal_ratio_curve(spec, float(q))
+        res = legendre(spec, a)
+        assert not res.boundary
+        assert abs(res.f - f) <= 1e-12, (name, q)
+        assert abs(res.q_star[0] - q) <= 1e-8, (name, q)
+
+
 def test_mixed_identical_measures_supported_on_diagonal():
     spec = ModelSpec(
         ratios=[0.5, 0.5],
@@ -156,6 +201,25 @@ def test_mixed_two_symbols_value_only():
         assert res.f == pytest.approx(expect, abs=1e-7)
         tangent = beta(spec, res.q_star)
         assert np.allclose(tangent.alpha, bp.alpha, atol=1e-7)
+
+
+def test_mixed_two_symbols_singular_jacobian_grid():
+    # d alpha / d q is singular on this model (its level set is a segment);
+    # the least-squares Newton step must still reach the tangency point
+    spec = ModelSpec(
+        ratios=[0.5, 0.5],
+        measures=[[0.25, 0.75], [0.6, 0.4]],
+        label="mixed2",
+    )
+    grid = [[q1, q2] for q1 in (-1.0, 0.0, 1.0) for q2 in (-1.0, -0.5, 0.5, 1.0)]
+    for q in grid:
+        bp = beta(spec, q)
+        res = legendre(spec, bp.alpha, tol=1e-11)
+        expect = float(np.dot(q, bp.alpha)) + bp.beta
+        assert res.f == pytest.approx(expect, abs=1e-7), q
+        assert res.boundary is False
+        assert np.all(np.isfinite(res.q_star))
+        assert float(np.max(np.abs(res.q_star))) < DEFAULT_Q_CAP
 
 
 def test_mixed_three_symbols_duality():
