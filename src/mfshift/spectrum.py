@@ -26,10 +26,10 @@ from .model import (
     PotentialTable,
     ProductMeasureWeights,
     TargetBox,
+    _xlogx,
     build_potentials,
     entropy,
     integrate,
-    level_map,
 )
 
 DEFAULT_Q_CAP = 60.0
@@ -445,9 +445,32 @@ def _simplex_grid(N: int, step: float, rng: np.random.Generator):
     return pts
 
 
-def _box_gap_sq(u: np.ndarray, C: TargetBox) -> float:
+def _box_gap_sq(u: np.ndarray, C: TargetBox):
+    """Squared Euclidean distance of level vectors (..., M) to the box."""
     gap = np.maximum(np.maximum(C.lo - u, u - C.hi), 0.0)
-    return float(np.sum(gap * gap))
+    return np.sum(gap * gap, axis=-1)
+
+
+def _product_integral(w: np.ndarray, table: PotentialTable) -> float:
+    """Integral of a cylinder table against the product measure w.
+
+    The axes are contracted in the order ``integrate`` uses; the last
+    contraction is a plain dot product, which gives the same bits as the
+    tensordot there.
+    """
+    v = table.values
+    for _ in range(table.depth - 1):
+        v = np.tensordot(w, v, axes=(0, 0))
+    return float(np.dot(w, v))
+
+
+def _product_integrals(W: np.ndarray, table: PotentialTable) -> np.ndarray:
+    """Integrals of a cylinder table against every row of W, shape (k,)."""
+    k, N = W.shape
+    v = W @ table.values.reshape(N, -1)  # (k, N^(depth-1))
+    for _ in range(table.depth - 1):
+        v = np.einsum("ki,kij->kj", W, v.reshape(k, N, -1))
+    return v.reshape(k)
 
 
 class _Problem:
@@ -455,6 +478,8 @@ class _Problem:
 
     The constraint keeps the level value in C; the dimension objective
     always divides by the model's scaling integral, whatever the level map.
+    ``evaluate_one`` gives the objective and the level vector of one point,
+    ``evaluate`` those of a stack of points.
     """
 
     def __init__(self, spec, C, phi, objective, level):
@@ -465,14 +490,30 @@ class _Problem:
         self.level = resolve_level(spec, level, C)
         self.lam = build_potentials(spec)[0]
 
-    def constraint_value(self, x):
-        return level_map(self.measure(x), self.level)
+    def _score(self, h, integral):
+        """Objective and level vector from the entropy and an integral map.
 
-    def objective_value(self, x):
-        mu = self.measure(x)
+        ``integral`` takes a table to its integral against the point, or to
+        the integrals against a stack of points; the level vector then has
+        shape (M,) or (k, M).
+        """
         if self.objective == "dimension":
-            return -entropy(mu) / integrate(mu, self.lam)
-        return entropy(mu) + integrate(mu, self.phi)
+            obj = -h / integral(self.lam)
+        else:
+            obj = h + integral(self.phi)
+        den = integral(self.level.lam)
+        return obj, np.array([integral(p) / den for p in self.level.phis]).T
+
+    def evaluate_one(self, x):
+        mu = self.measure(x)
+        return self._score(entropy(mu), lambda table: integrate(mu, table))
+
+    def evaluate(self, X):
+        pairs = [self.evaluate_one(x) for x in X]
+        return (
+            np.array([obj for obj, _ in pairs]),
+            np.array([u for _, u in pairs]),
+        )
 
     def constraint_lipschitz(self):
         lev = self.level
@@ -486,10 +527,27 @@ class _Problem:
 
 
 class _BernoulliProblem(_Problem):
+    """Product measures, evaluated from the weight vector without a measure
+    object: a clipped, normalised point always passes the measure's checks."""
+
     def measure(self, w):
         # finite-difference probes sit slightly off the simplex
         w = np.clip(np.asarray(w, dtype=float), 0.0, None)
         return ProductMeasureWeights(w / w.sum())
+
+    def evaluate_one(self, x):
+        w = np.clip(np.asarray(x, dtype=float), 0.0, None)
+        w = w / w.sum()
+        return self._score(
+            -float(np.sum(_xlogx(w))), lambda table: _product_integral(w, table)
+        )
+
+    def evaluate(self, X):
+        W = np.clip(np.asarray(X, dtype=float), 0.0, None)
+        W = W / W.sum(axis=1, keepdims=True)
+        return self._score(
+            -np.sum(_xlogx(W), axis=1), lambda table: _product_integrals(W, table)
+        )
 
     def project(self, w):
         return _simplex_project(w)
@@ -513,7 +571,7 @@ class _BernoulliProblem(_Problem):
         faces = self._face_gradients()
         if faces is None:
             return None
-        u = self.constraint_value(w)
+        _, u = self.evaluate_one(w)
         w2 = np.asarray(w, dtype=float).copy()
         changed = False
         for m in range(u.size):
@@ -585,7 +643,7 @@ def _active_faces(problem, x, tol=1e-7):
     faces = getattr(problem, "_face_gradients", lambda: None)()
     if faces is None:
         return None
-    u = problem.constraint_value(x)
+    _, u = problem.evaluate_one(x)
     rows = [np.ones_like(np.asarray(x, dtype=float))]
     rhs = [1.0]
     for m in range(u.size):
@@ -618,17 +676,20 @@ def _face_polish(problem, x, iters=200):
         y = y - A.T @ correction
         return np.clip(y, 0.0, None)
 
+    def objective(y):
+        return problem.evaluate_one(y)[0]
+
     x = onto_face(np.asarray(x, dtype=float).copy())
-    f_cur = problem.objective_value(x)
+    f_cur = objective(x)
     step = 0.05
     for _ in range(iters):
-        g = _numeric_gradient(problem.objective_value, x)
+        g = _numeric_gradient(objective, x)
         coeff, *_ = np.linalg.lstsq(AAt, A @ g, rcond=None)
         d = g - A.T @ coeff
         moved = False
         while step >= 1e-14:
             x_new = onto_face(x + step * d)
-            f_new = problem.objective_value(x_new)
+            f_new = objective(x_new)
             if f_new > f_cur + 1e-16:
                 x, f_cur = x_new, f_new
                 moved = True
@@ -646,9 +707,8 @@ def _polish(problem, x0, tol):
     for rho in (1e3, 1e5, 1e7):
 
         def penalized(y):
-            return problem.objective_value(y) - rho * _box_gap_sq(
-                problem.constraint_value(y), problem.C
-            )
+            obj, u = problem.evaluate_one(y)
+            return obj - rho * _box_gap_sq(u, problem.C)
 
         step = 0.1
         f_cur = penalized(x)
@@ -674,8 +734,8 @@ def _polish(problem, x0, tol):
 def _best_candidate(problem, candidates, feas_tol=1e-8):
     best = None
     for x in candidates:
-        gap = math.sqrt(_box_gap_sq(problem.constraint_value(x), problem.C))
-        val = problem.objective_value(x)
+        val, u = problem.evaluate_one(x)
+        gap = math.sqrt(_box_gap_sq(u, problem.C))
         key = (gap <= feas_tol, -gap, val)
         if best is None or key > best[0]:
             best = (key, x, val, gap)
@@ -686,10 +746,8 @@ def _best_candidate(problem, candidates, feas_tol=1e-8):
 def _variational_optimize(problem, grid_step, tol, seed):
     rng = np.random.default_rng(seed)
     seeds = problem.seeds(rng, grid_step)
-    vals = np.array([problem.objective_value(s) for s in seeds])
-    gaps = np.array(
-        [math.sqrt(_box_gap_sq(problem.constraint_value(s), problem.C)) for s in seeds]
-    )
+    vals, levels = problem.evaluate(seeds)
+    gaps = np.sqrt(_box_gap_sq(levels, problem.C))
     slack = grid_step * problem.constraint_lipschitz()
     feasible = gaps <= slack
     if not feasible.any():
@@ -732,12 +790,17 @@ def variational_solve(
     map by default) in C; Lambda is always the model's scaling potential.
     Dense grid seeding followed by penalized projected-gradient polish;
     kept deliberately independent of the Legendre machinery so route
-    agreement is a real cross-check.
+    agreement is a real cross-check.  ``grid_step`` must lie in (0, 1] and
+    ``tol`` be positive.
     """
     if objective not in ("pressure", "dimension"):
         raise ValidationError("objective must be 'pressure' or 'dimension'")
     if objective == "pressure" and phi is None:
         raise ValidationError("pressure objective needs a potential")
+    if not (math.isfinite(grid_step) and 0.0 < grid_step <= 1.0):
+        raise ValidationError(f"grid_step={grid_step!r}: need 0 < grid_step <= 1")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValidationError(f"tol={tol!r}: need a finite tol > 0")
     if family == "bernoulli":
         problem = _BernoulliProblem(spec, C, phi, objective, level)
     elif family == "markov1":

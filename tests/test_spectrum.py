@@ -3,17 +3,24 @@ import math
 import numpy as np
 import pytest
 
+import mfshift.spectrum as spectrum_mod
+from mfshift.birkhoff import ObservableTable, erg_spectrum_variational
 from mfshift.errors import InfeasibleConstraint, ValidationError
 from mfshift.logsum import NEG_INF
 from mfshift.model import (
+    LevelMap,
     ModelSpec,
+    PotentialTable,
     ProductMeasureWeights,
     TargetBox,
+    entropy,
+    integrate,
     level_map,
     moran_dimension,
 )
 from mfshift.spectrum import (
     DEFAULT_Q_CAP,
+    _BernoulliProblem,
     beta,
     beta_gradient,
     legendre,
@@ -324,3 +331,152 @@ def test_route_agreement_random_boxes():
             sup = sup_spectrum(spec, C)
             var = variational_solve(spec, C, objective="dimension")
             assert var.value == pytest.approx(sup.value, abs=1e-4)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(grid_step=0.0),
+        dict(grid_step=float("nan")),
+        dict(grid_step=-0.01),
+        dict(grid_step=3.0),
+        dict(grid_step=float("inf")),
+        dict(tol=0.0),
+        dict(tol=-1e-6),
+        dict(tol=float("nan")),
+        dict(tol=float("inf")),
+    ],
+)
+def test_variational_rejects_bad_numeric_arguments(quarter_spec, uniform_spec, kwargs):
+    with pytest.raises(ValidationError):
+        variational_solve(
+            quarter_spec, TargetBox.interval(0.7, 0.9), objective="dimension", **kwargs
+        )
+    obs = ObservableTable(PotentialTable(np.array([1.0, 0.0])))
+    with pytest.raises(ValidationError):
+        erg_spectrum_variational(uniform_spec, obs, TargetBox.interval(0.2, 0.4), **kwargs)
+
+
+def test_variational_accepts_unit_grid_step(quarter_spec):
+    # grid_step 1 seeds at the simplex vertices only
+    C = TargetBox.interval(0.7, 0.9)
+    res = variational_solve(quarter_spec, C, objective="dimension", grid_step=1.0)
+    assert res.value == pytest.approx(sup_spectrum(quarter_spec, C).value, abs=1e-4)
+
+
+def test_variational_reproduces_recorded_values(quarter_spec, uniform_spec, ternary_spec):
+    # (value, constraint_gap) recorded from the per-point evaluation that
+    # built a measure object for every seed and probe
+    a = float(beta(quarter_spec, 1.5).alpha[0])
+    res = variational_solve(
+        quarter_spec, TargetBox.interval(a - 0.05, a + 0.05), objective="dimension"
+    )
+    assert (res.value, res.constraint_gap) == (0.70757509216885, 0.0)
+    a0 = float(beta(ternary_spec, 0.0).alpha[0])
+    res = variational_solve(
+        ternary_spec, TargetBox.interval(a0 - 0.04, a0 + 0.08), objective="dimension"
+    )
+    assert (res.value, res.constraint_gap) == (1.0, 0.0)
+    phi = PotentialTable(np.array([0.3, -0.7, 0.1]))
+    res = variational_solve(
+        ternary_spec, TargetBox.interval(1.1, 1.3), phi=phi, objective="pressure"
+    )
+    assert (res.value, res.constraint_gap) == (1.0820427371097208, 0.0)
+    lev = LevelMap(
+        (PotentialTable(quarter_spec.log_measures[0][:, None] + 0.05 * np.eye(2)),),
+        PotentialTable(quarter_spec.log_ratios),
+    )
+    res = variational_solve(
+        quarter_spec, TargetBox.interval(0.8, 1.0), objective="dimension", level=lev
+    )
+    assert (res.value, res.constraint_gap) == (0.9666272581343013, 2.233549123431544e-09)
+    res = erg_spectrum_variational(
+        uniform_spec,
+        ObservableTable(PotentialTable(np.array([1.0, 0.0]))),
+        TargetBox.interval(0.25, 0.35),
+    )
+    assert (res.value, res.constraint_gap) == (0.9340680553754911, 0.0)
+    res = erg_spectrum_variational(
+        uniform_spec,
+        ObservableTable(PotentialTable(np.array([[0.4, -0.6], [0.9, -0.2]]))),
+        TargetBox.interval(0.3, 0.4),
+    )
+    assert res.weights.P.shape == (2, 2)  # depth 2 selects the markov1 family
+    assert (res.value, res.constraint_gap) == (0.707936235438768, 1.822880632551538e-07)
+    with pytest.raises(InfeasibleConstraint):
+        variational_solve(quarter_spec, TargetBox.interval(5.0, 6.0), objective="dimension")
+
+
+def _evaluation_points(rng, N):
+    """Simplex points, points with zero weights and finite-difference probes."""
+    pts = list(rng.dirichlet(np.ones(N), size=20))
+    for x in rng.dirichlet(np.ones(N), size=5):
+        x[rng.integers(N)] = 0.0
+        pts.append(x / x.sum())
+    pts.append(np.eye(N)[0])
+    for x in (np.eye(N)[0], rng.dirichlet(np.ones(N))):
+        for i in range(N):
+            for h in (1e-7, -1e-7):
+                probe = x.copy()
+                probe[i] += h  # a negative entry at the vertex; sum != 1
+                pts.append(probe)
+    pts.append(1.3 * rng.dirichlet(np.ones(N)))
+    return np.array(pts)
+
+
+@pytest.mark.parametrize("N", [2, 3, 5])
+@pytest.mark.parametrize("depth", [1, 2])
+@pytest.mark.parametrize("objective", ["dimension", "pressure"])
+def test_bernoulli_evaluation_matches_measure_functions(N, depth, objective):
+    rng = np.random.default_rng(10 * N + depth)
+    p = rng.dirichlet(np.ones(N))
+    spec = ModelSpec(
+        ratios=rng.uniform(0.1, 0.6, size=N), measures=[p], potential_depth=depth
+    )
+    lam = PotentialTable(spec.log_ratios).lift(depth)
+    num = np.log(p)[(...,) + (None,) * (depth - 1)] + np.zeros((N,) * depth)
+    if depth == 2:
+        num = num + 0.05 * np.eye(N)  # tail-sensitive, still negative
+    lev = LevelMap((PotentialTable(num),), lam)
+    phi = PotentialTable(-rng.uniform(0.1, 2.0, size=(N,) * depth))
+    problem = _BernoulliProblem(
+        spec, TargetBox.interval(0.0, 50.0), phi if objective == "pressure" else None,
+        objective, lev,
+    )
+    X = _evaluation_points(rng, N)
+    obj, u = problem.evaluate(X)
+    assert obj.shape == (len(X),) and u.shape == (len(X), 1)
+    for k, x in enumerate(X):
+        w = np.clip(x, 0.0, None)
+        mu = ProductMeasureWeights(w / w.sum())
+        h = entropy(mu)
+        if objective == "dimension":
+            ref, scale = -h / integrate(mu, lam), None
+        else:
+            ref, scale = h + integrate(mu, phi), h + abs(integrate(mu, phi))
+        scale = abs(ref) if scale is None else scale
+        ref_u = level_map(mu, lev)
+        one_obj, one_u = problem.evaluate_one(x)
+        for got, got_u in ((one_obj, one_u), (obj[k], u[k])):
+            assert abs(got - ref) <= 1e-15 * scale
+            assert np.all(np.abs(got_u - ref_u) <= 1e-15 * np.abs(ref_u))
+
+
+def test_markov_evaluate_one_builds_one_measure(monkeypatch, uniform_spec):
+    built = []
+
+    class CountingWeights(spectrum_mod.MarkovWeights):
+        def __post_init__(self):
+            built.append(1)
+            super().__post_init__()
+
+    monkeypatch.setattr(spectrum_mod, "MarkovWeights", CountingWeights)
+    obs = ObservableTable(PotentialTable(np.eye(2)))
+    problem = spectrum_mod._MarkovProblem(
+        uniform_spec, TargetBox.interval(0.1, 0.3), None, "dimension",
+        obs.as_level_map(),
+    )
+    for theta in problem.seeds(np.random.default_rng(0), 1e-2)[:10]:
+        built.clear()
+        problem.evaluate_one(theta)
+        assert len(built) == 1
