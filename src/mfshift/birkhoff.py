@@ -112,30 +112,15 @@ def erg_bowen(
 
 
 def erg_spectrum_variational(
-    spec: ModelSpec,
-    obs: ObservableTable,
-    C: TargetBox,
-    family: Optional[str] = None,
-    grid_step: float = 1e-2,
-    tol: float = 1e-6,
-    seed: int = 0,
+    spec: ModelSpec, obs: ObservableTable, C: TargetBox
 ) -> VariationalResult:
-    """sup of -h(mu) / int(Lambda) over measures with int f dmu in C.
+    """sup of -h(mu) / int(Lambda) over invariant measures with int f dmu in C.
 
-    The family defaults to the one that integrates the observable exactly:
-    Bernoulli at depth 1, memory-1 Markov at depth 2.
+    The measures are Bernoulli for a depth-1 observable and memory-1 Markov
+    for a depth-2 one, the family that integrates the observable exactly.
     """
-    if family is None:
-        family = "bernoulli" if obs.depth == 1 else "markov1"
     return variational_solve(
-        spec,
-        C,
-        family=family,
-        objective="dimension",
-        grid_step=grid_step,
-        tol=tol,
-        seed=seed,
-        level=obs.as_level_map(),
+        spec, C, objective="dimension", level=obs.as_level_map()
     )
 
 

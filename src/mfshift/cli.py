@@ -43,7 +43,7 @@ from .logsum import NEG_INF
 from .model import ModelSpec, PotentialTable, TargetBox
 from .birkhoff import ObservableTable
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 EXIT_OK = 0
 EXIT_DEGENERATE = 2
@@ -71,7 +71,6 @@ class RunConfig:
     tol: float = 1e-9
     output: str = "-"
     fmt: str = "csv"
-    seed: int = 0
     timestamp: bool = True
 
 
@@ -224,7 +223,6 @@ def write_json(stream, config: RunConfig, label: str, header, rows):
         "command": config.command,
         "model": label,
         "osc_assumed": True,
-        "seed": config.seed,
         "rows": payload_rows,
     }
     if config.timestamp:
@@ -367,9 +365,7 @@ def cmd_birkhoff(config: RunConfig, spec: ModelSpec):
     degenerate = False
     if config.route in ("variational", "both"):
         try:
-            res = birkhoff_mod.erg_spectrum_variational(
-                spec, obs, C, seed=config.seed
-            )
+            res = birkhoff_mod.erg_spectrum_variational(spec, obs, C)
             rows.append(("variational", None, res.value, res.constraint_gap))
         except InfeasibleConstraint:
             rows.append(("variational", None, NEG_INF, None))
@@ -397,7 +393,7 @@ def cmd_oracle(config: RunConfig, spec: ModelSpec):
         )
         worst = max(worst, rep.rel_deviation)
     if C is not None and spec.N <= 3:
-        rep = oracle_mod.compare_variational(spec, C, seed=config.seed)
+        rep = oracle_mod.compare_variational(spec, C)
         rows.append(
             (rep.quantity, None, rep.naive, rep.fast, rep.abs_deviation, rep.rel_deviation)
         )
@@ -452,7 +448,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--tol", type=float, default=1e-9)
         sp.add_argument("--output", default="-", help="output path, '-' for stdout")
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
-        sp.add_argument("--seed", type=int, default=0)
         sp.add_argument(
             "--no-timestamp",
             action="store_true",
@@ -478,7 +473,6 @@ def config_from_args(args) -> RunConfig:
         tol=args.tol,
         output=args.output,
         fmt=args.format,
-        seed=args.seed,
         timestamp=not args.no_timestamp,
     )
 

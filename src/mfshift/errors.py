@@ -30,7 +30,7 @@ class ScheduleTooShort(MfShiftError):
 
 
 class InfeasibleConstraint(MfShiftError):
-    """No candidate in the search family satisfies the target constraint."""
+    """No measure of the variational family has its level value in the target box."""
 
 
 class ParseError(MfShiftError):

@@ -2,9 +2,9 @@
 
 Everything here recomputes quantities from their definitions: literal
 word-by-word enumeration with explicit tail products instead of composition
-aggregation or interval hulls, and dense simplex scans instead of polished
-optimization.  Deviations between the twin routes are recorded, never
-silently discarded.
+aggregation or interval hulls, and dense simplex scans instead of the
+variational route's concave program.  Deviations between the twin routes
+are recorded, never silently discarded.
 """
 
 from __future__ import annotations
@@ -249,17 +249,14 @@ def compare_variational(
     phi: Optional[PotentialTable] = None,
     objective: str = "dimension",
     grid_step: float = 1e-3,
-    seed: int = 0,
 ) -> OracleReport:
-    """Twin report: dense simplex scan vs the polished optimizer."""
+    """Twin report: dense simplex scan vs the block-frequency optimizer."""
     from .errors import InfeasibleConstraint
     from .spectrum import variational_solve
 
     naive = brute_variational(spec, C, phi, grid_step, objective)
     try:
-        fast = variational_solve(
-            spec, C, phi, family="bernoulli", objective=objective, seed=seed
-        ).value
+        fast = variational_solve(spec, C, phi, objective=objective).value
     except InfeasibleConstraint:
         fast = NEG_INF
     return make_report(

@@ -3,9 +3,9 @@
 The temperature function beta(q) solves sum_i (prod_m p_{m,i}^{q_m}) r_i^beta = 1;
 its negated gradient parameterizes the attainable level values alpha, and the
 spectrum is the Legendre transform in the inf(<alpha,q> + beta(q)) convention.
-The variational route maximizes entropy functionals over explicit measure
-families and is kept algorithmically independent so the two routes can
-cross-validate each other.
+The variational route maximizes the entropy of block frequencies, one
+concave program per target box, and is kept algorithmically independent so
+the two routes can cross-validate each other.
 """
 
 from __future__ import annotations
@@ -26,10 +26,7 @@ from .model import (
     PotentialTable,
     ProductMeasureWeights,
     TargetBox,
-    _xlogx,
     build_potentials,
-    entropy,
-    integrate,
 )
 
 DEFAULT_Q_CAP = 60.0
@@ -414,400 +411,160 @@ def _feasible_box_point(spec: ModelSpec, C: TargetBox):
     return pts.T @ res.x
 
 
+
+
 # ---------------------------------------------------------------------------
-# Variational route: explicit optimization over Bernoulli or memory-1 Markov
-# measures, independent of the Legendre machinery above.
+# Variational route: one concave program over the k-block frequencies of an
+# invariant measure, independent of the Legendre machinery above.
 
 
-def _simplex_project(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex (sort-based)."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    rho = np.nonzero(u + (1.0 - css) / np.arange(1, u.size + 1) > 0)[0][-1]
-    lam = (1.0 - css[rho]) / (rho + 1.0)
-    return np.maximum(v + lam, 0.0)
+def _block_entropy(x: np.ndarray, N: int):
+    """E(x) = -sum_b x_b log(x_b / m_p(b)) with its gradient and Hessian.
 
-
-def _simplex_grid(N: int, step: float, rng: np.random.Generator):
-    """Dense simplex grid for N <= 3, seeded random cover otherwise."""
-    k = int(round(1.0 / step))
-    if N == 2:
-        t = np.arange(k + 1) / k
-        return np.stack([t, 1.0 - t], axis=1)
-    if N == 3:
-        pts = []
-        for i in range(k + 1):
-            for j in range(k + 1 - i):
-                pts.append((i / k, j / k, (k - i - j) / k))
-        return np.array(pts)
-    pts = rng.dirichlet(np.ones(N), size=20000)
-    pts = np.vstack([pts, np.eye(N), np.full((1, N), 1.0 / N)])
-    return pts
-
-
-def _box_gap_sq(u: np.ndarray, C: TargetBox):
-    """Squared Euclidean distance of level vectors (..., M) to the box."""
-    gap = np.maximum(np.maximum(C.lo - u, u - C.hi), 0.0)
-    return np.sum(gap * gap, axis=-1)
-
-
-def _product_integral(w: np.ndarray, table: PotentialTable) -> float:
-    """Integral of a cylinder table against the product measure w.
-
-    The axes are contracted in the order ``integrate`` uses; the last
-    contraction is a plain dot product, which gives the same bits as the
-    tensordot there.
+    The prefix p(b) drops the last symbol of the block b, and m_p sums x over
+    the N blocks that share it; for 1-blocks the one prefix is empty and m is
+    the total mass.  E is the entropy of the (k-1)-step Markov measure with
+    block frequencies x times their total: concave and 1-homogeneous.
     """
-    v = table.values
-    for _ in range(table.depth - 1):
-        v = np.tensordot(w, v, axes=(0, 0))
-    return float(np.dot(w, v))
+    X = x.reshape(-1, N)
+    m = X.sum(axis=1, keepdims=True)
+    log_ratio = np.log(X / m)
+    hess = np.kron(np.diag(1.0 / m[:, 0]), np.ones((N, N))) - np.diag(1.0 / x)
+    return -float(np.sum(X * log_ratio)), -log_ratio.ravel(), hess
 
 
-def _product_integrals(W: np.ndarray, table: PotentialTable) -> np.ndarray:
-    """Integrals of a cylinder table against every row of W, shape (k,)."""
-    k, N = W.shape
-    v = W @ table.values.reshape(N, -1)  # (k, N^(depth-1))
-    for _ in range(table.depth - 1):
-        v = np.einsum("ki,kij->kj", W, v.reshape(k, N, -1))
-    return v.reshape(k)
+def _block_values(table: PotentialTable, k: int) -> np.ndarray:
+    """A table of depth <= k on the N^k blocks, in lexicographic order.
 
-
-class _Problem:
-    """Shared state for the constrained measure-family optimizers.
-
-    The constraint keeps the level value in C; the dimension objective
-    always divides by the model's scaling integral, whatever the level map.
-    ``evaluate_one`` gives the objective and the level vector of one point,
-    ``evaluate`` those of a stack of points.
+    Integrals against block frequencies x are dot products with x.
     """
-
-    def __init__(self, spec, C, phi, objective, level):
-        self.spec = spec
-        self.C = C
-        self.phi = phi
-        self.objective = objective
-        self.level = resolve_level(spec, level, C)
-        self.lam = build_potentials(spec)[0]
-
-    def _score(self, h, integral):
-        """Objective and level vector from the entropy and an integral map.
-
-        ``integral`` takes a table to its integral against the point, or to
-        the integrals against a stack of points; the level vector then has
-        shape (M,) or (k, M).
-        """
-        if self.objective == "dimension":
-            obj = -h / integral(self.lam)
-        else:
-            obj = h + integral(self.phi)
-        den = integral(self.level.lam)
-        return obj, np.array([integral(p) / den for p in self.level.phis]).T
-
-    def evaluate_one(self, x):
-        mu = self.measure(x)
-        return self._score(entropy(mu), lambda table: integrate(mu, table))
-
-    def evaluate(self, X):
-        pairs = [self.evaluate_one(x) for x in X]
-        return (
-            np.array([obj for obj, _ in pairs]),
-            np.array([u for _, u in pairs]),
-        )
-
-    def constraint_lipschitz(self):
-        lev = self.level
-        lam_abs = np.abs(lev.lam.values)
-        lam_min = float(lam_abs.min())
-        u_max = max(
-            float(np.max(np.abs(p.values))) / lam_min for p in lev.phis
-        )
-        p_max = max(float(np.max(np.abs(p.values))) for p in lev.phis)
-        return (p_max + u_max * float(lam_abs.max())) / lam_min * self.spec.N
+    return table.lift(k).values.ravel()
 
 
-class _BernoulliProblem(_Problem):
-    """Product measures, evaluated from the weight vector without a measure
-    object: a clipped, normalised point always passes the measure's checks."""
-
-    def measure(self, w):
-        # finite-difference probes sit slightly off the simplex
-        w = np.clip(np.asarray(w, dtype=float), 0.0, None)
-        return ProductMeasureWeights(w / w.sum())
-
-    def evaluate_one(self, x):
-        w = np.clip(np.asarray(x, dtype=float), 0.0, None)
-        w = w / w.sum()
-        return self._score(
-            -float(np.sum(_xlogx(w))), lambda table: _product_integral(w, table)
-        )
-
-    def evaluate(self, X):
-        W = np.clip(np.asarray(X, dtype=float), 0.0, None)
-        W = W / W.sum(axis=1, keepdims=True)
-        return self._score(
-            -np.sum(_xlogx(W), axis=1), lambda table: _product_integrals(W, table)
-        )
-
-    def project(self, w):
-        return _simplex_project(w)
-
-    def seeds(self, rng, grid_step):
-        return _simplex_grid(self.spec.N, grid_step, rng)
-
-    def _face_gradients(self):
-        """Pairs (phi_m, lam): face (phi_m - c lam) . w = 0 is affine in w."""
-        if not self.level.is_depth1():
-            return None
-        P, lam = self.level.depth1_vectors()
-        return [(P[m], lam) for m in range(self.C.dim)]
-
-    def snap(self, w):
-        """Exact affine correction onto the nearest violated box face.
-
-        The level ratio is affine-representable in w after clearing its
-        sign-definite denominator.
-        """
-        faces = self._face_gradients()
-        if faces is None:
-            return None
-        _, u = self.evaluate_one(w)
-        w2 = np.asarray(w, dtype=float).copy()
-        changed = False
-        for m in range(u.size):
-            c = None
-            if u[m] < self.C.lo[m]:
-                c = float(self.C.lo[m])
-            elif u[m] > self.C.hi[m]:
-                c = float(self.C.hi[m])
-            if c is None:
-                continue
-            grad, lam = faces[m]
-            g = grad - c * lam  # face: (phi - c lam) . w = 0
-            g_t = g - g.mean()
-            denom = float(g_t @ g_t)
-            if denom <= 0:
-                return None
-            w2 = w2 - (float(g @ w2) / denom) * g_t
-            changed = True
-        if not changed:
-            return None
-        return self.project(w2)
+def _step_length(v, dv, z, dz, fraction):
+    """Largest step <= 1 that keeps v and z positive, times ``fraction``."""
+    ratios = np.concatenate([-v[dv < 0] / dv[dv < 0], -z[dz < 0] / dz[dz < 0]])
+    return min(1.0, fraction * float(ratios.min())) if ratios.size else 1.0
 
 
-class _MarkovProblem(_Problem):
-    def measure(self, theta):
-        N = self.spec.N
-        P = np.clip(theta.reshape(N, N).astype(float), 0.0, None)
-        return MarkovWeights(P / P.sum(axis=1, keepdims=True))
+def _interior_point(c, A, b, N=0, n_x=0):
+    """Minimize c.v - E(v[:n_x]) subject to A v = b, v >= 0 (no E if N = 0).
 
-    def project(self, theta):
-        N = self.spec.N
-        P = theta.reshape(N, N)
-        return np.stack([_simplex_project(row) for row in P]).ravel()
-
-    def seeds(self, rng, grid_step):
-        N = self.spec.N
-        seeds = [np.full((N, N), 1.0 / N)]
-        off = (np.ones((N, N)) - np.eye(N)) / max(N - 1, 1)
-        seeds.append(off)
-        for _ in range(200):
-            seeds.append(rng.dirichlet(np.ones(N), size=N))
-        return np.stack([s.ravel() for s in seeds])
-
-    def snap(self, theta):
-        """Zero out near-vanishing transitions (face snapping)."""
-        N = self.spec.N
-        P = theta.reshape(N, N).copy()
-        small = P < 1e-4
-        if not small.any() or small.all(axis=1).any():
-            return None
-        P[small] = 0.0
-        P = P / P.sum(axis=1, keepdims=True)
-        return P.ravel()
-
-
-def _numeric_gradient(fn, x, h=1e-7):
-    g = np.empty_like(x)
-    for i in range(x.size):
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += h
-        xm[i] -= h
-        g[i] = (fn(xp) - fn(xm)) / (2 * h)
-    return g
-
-
-def _active_faces(problem, x, tol=1e-7):
-    """Affine rows (A, b) of the simplex plane plus touched box faces."""
-    faces = getattr(problem, "_face_gradients", lambda: None)()
-    if faces is None:
-        return None
-    _, u = problem.evaluate_one(x)
-    rows = [np.ones_like(np.asarray(x, dtype=float))]
-    rhs = [1.0]
-    for m in range(u.size):
-        for c in (float(problem.C.lo[m]), float(problem.C.hi[m])):
-            if abs(u[m] - c) <= tol:
-                grad, lam = faces[m]
-                rows.append(np.asarray(grad - c * lam, dtype=float))
-                rhs.append(0.0)
-                break
-    if len(rows) == 1:
-        return None
-    return np.vstack(rows), np.array(rhs)
-
-
-def _face_polish(problem, x, iters=200):
-    """Ascent restricted to the active affine faces of the box constraint.
-
-    The penalty polish is stiff across a face, so a maximizer sitting on
-    the constraint boundary is refined by projecting gradients onto the
-    face tangent space and re-snapping each accepted step.
+    Dense primal-dual Newton steps with Mehrotra's predictor-corrector, from
+    v = z = 1, with the exact gradient and Hessian of the block entropy.  It
+    stops when each primal residual is <= 1e-13 times its row's |A| v (at
+    least 1) and the mean complementarity v.z / n is <= 1e-14, or after 200
+    steps.  The dual residual is not waited for: when the constraints force
+    a block frequency to 0, its multiplier diverges.
     """
-    active = _active_faces(problem, x)
-    if active is None:
-        return None
-    A, b = active
-    AAt = A @ A.T
-
-    def onto_face(y):
-        correction, *_ = np.linalg.lstsq(AAt, A @ y - b, rcond=None)
-        y = y - A.T @ correction
-        return np.clip(y, 0.0, None)
-
-    def objective(y):
-        return problem.evaluate_one(y)[0]
-
-    x = onto_face(np.asarray(x, dtype=float).copy())
-    f_cur = objective(x)
-    step = 0.05
-    for _ in range(iters):
-        g = _numeric_gradient(objective, x)
-        coeff, *_ = np.linalg.lstsq(AAt, A @ g, rcond=None)
-        d = g - A.T @ coeff
-        moved = False
-        while step >= 1e-14:
-            x_new = onto_face(x + step * d)
-            f_new = objective(x_new)
-            if f_new > f_cur + 1e-16:
-                x, f_cur = x_new, f_new
-                moved = True
-                step *= 1.5
-                break
-            step *= 0.5
-        if not moved or step * float(np.max(np.abs(d))) < 1e-13:
+    n, n_eq = c.size, b.size
+    v, z, y = np.ones(n), np.ones(n), np.zeros(n_eq)
+    zero = np.zeros((n_eq, n_eq))
+    abs_A = np.abs(A)
+    for _ in range(200):
+        grad, hess = c.copy(), np.zeros((n, n))
+        if N:
+            _, g, h = _block_entropy(v[:n_x], N)
+            grad[:n_x] -= g
+            hess[:n_x, :n_x] -= h
+        r_p = A @ v - b
+        mu = float(v @ z) / n
+        if np.all(np.abs(r_p) <= 1e-13 * np.maximum(abs_A @ v, 1.0)) and mu <= 1e-14:
             break
-    return x
+        r_d = grad - A.T @ y - z
+        K = np.block([[hess + np.diag(z / v), A.T], [A, zero]])
+
+        def direction(r_c):
+            sol = np.linalg.solve(K, np.concatenate([-r_d - r_c / v, -r_p]))
+            dv = sol[:n]
+            return dv, -sol[n:], -(r_c + z * dv) / v
+
+        dv, dy, dz = direction(v * z)
+        a = _step_length(v, dv, z, dz, 1.0)
+        sigma = (float((v + a * dv) @ (z + a * dz)) / n / mu) ** 3
+        dv, dy, dz = direction(v * z + dv * dz - sigma * mu)
+        a = _step_length(v, dv, z, dz, 0.99)
+        v, y, z = v + a * dv, y + a * dy, z + a * dz
+    return v
 
 
-def _polish(problem, x0, tol):
-    """Projected-gradient ascent with an increasing box-violation penalty."""
-    x = problem.project(np.asarray(x0, dtype=float).copy())
-    for rho in (1e3, 1e5, 1e7):
-
-        def penalized(y):
-            obj, u = problem.evaluate_one(y)
-            return obj - rho * _box_gap_sq(u, problem.C)
-
-        step = 0.1
-        f_cur = penalized(x)
-        for _ in range(250):
-            g = _numeric_gradient(penalized, x)
-            moved = False
-            while step >= 1e-12:
-                x_new = problem.project(x + step * g)
-                f_new = penalized(x_new)
-                if f_new > f_cur + 1e-15:
-                    x, f_cur = x_new, f_new
-                    moved = True
-                    step *= 1.6
-                    break
-                step *= 0.5
-            if not moved:
-                break
-            if step * float(np.max(np.abs(g))) < tol * 1e-3:
-                break
-    return x
-
-
-def _best_candidate(problem, candidates, feas_tol=1e-8):
-    best = None
-    for x in candidates:
-        val, u = problem.evaluate_one(x)
-        gap = math.sqrt(_box_gap_sq(u, problem.C))
-        key = (gap <= feas_tol, -gap, val)
-        if best is None or key > best[0]:
-            best = (key, x, val, gap)
-    _, x, val, gap = best
-    return x, val, gap
-
-
-def _variational_optimize(problem, grid_step, tol, seed):
-    rng = np.random.default_rng(seed)
-    seeds = problem.seeds(rng, grid_step)
-    vals, levels = problem.evaluate(seeds)
-    gaps = np.sqrt(_box_gap_sq(levels, problem.C))
-    slack = grid_step * problem.constraint_lipschitz()
-    feasible = gaps <= slack
-    if not feasible.any():
-        raise InfeasibleConstraint(
-            "no seed satisfies the target constraint within the grid slack"
-        )
-    order = np.argsort(np.where(feasible, vals, -np.inf))[::-1]
-    starts = [seeds[i] for i in order[:3]]
-    starts.append(seeds[int(np.argmin(gaps))])
-    candidates = []
-    for s in starts:
-        x = _polish(problem, s, tol)
-        candidates.append(x)
-        snapped = problem.snap(x)
-        if snapped is not None:
-            candidates.append(snapped)
-    x, val, gap = _best_candidate(problem, candidates)
-    if gap <= 1e-8:
-        refined = _face_polish(problem, x)
-        if refined is not None:
-            x, val, gap = _best_candidate(problem, candidates + [refined])
-    return x, val, gap
+def _with_slacks(eq: np.ndarray, ineq: np.ndarray) -> np.ndarray:
+    """Rows [eq, 0; ineq, I]: each row of ineq . v <= 0 gets a slack column."""
+    k = ineq.shape[0]
+    return np.block([[eq, np.zeros((eq.shape[0], k))], [ineq, np.eye(k)]])
 
 
 def variational_solve(
     spec: ModelSpec,
     C: TargetBox,
     phi: Optional[PotentialTable] = None,
-    family: str = "bernoulli",
     objective: str = "pressure",
-    grid_step: float = 1e-2,
-    tol: float = 1e-6,
-    seed: int = 0,
     level: Optional[LevelMap] = None,
 ) -> VariationalResult:
-    """Constrained maximization of h + int(phi) (or -h / int(Lambda)) over a
-    measure family.
+    """sup of h + int(phi), or of -h / int(Lambda), over invariant measures
+    whose level value lies in C.
 
-    The constraint keeps the level value of ``level`` (the model's level
-    map by default) in C; Lambda is always the model's scaling potential.
-    Dense grid seeding followed by penalized projected-gradient polish;
-    kept deliberately independent of the Legendre machinery so route
-    agreement is a real cross-check.  ``grid_step`` must lie in (0, 1] and
-    ``tol`` be positive.
+    The constraint keeps the level value of ``level`` (the model's level map
+    by default) in C; Lambda is always the model's scaling potential.  A
+    measure enters through its k-block frequencies x, k the largest depth of
+    the tables involved: Bernoulli measures for k = 1, memory-1 Markov
+    measures (stationary pair frequencies) for k = 2, which are exact for
+    such data; k > 2 raises ``DepthUnsupported``.  The entropy of x is
+    concave and 1-homogeneous and the level map's denominator is negative,
+    so the box becomes linear rows and the problem one concave program:
+    int(-Lambda) = 1 for the dimension objective (Charnes-Cooper), sum x = 1
+    for the pressure objective.  A linear phase first finds the least
+    sup-norm violation of the box; above 1e-9 (times the largest |bound| of
+    C when that exceeds 1) the target is infeasible.
+    Kept independent of the Legendre machinery, so route agreement is a
+    real cross-check.
     """
     if objective not in ("pressure", "dimension"):
         raise ValidationError("objective must be 'pressure' or 'dimension'")
     if objective == "pressure" and phi is None:
         raise ValidationError("pressure objective needs a potential")
-    if not (math.isfinite(grid_step) and 0.0 < grid_step <= 1.0):
-        raise ValidationError(f"grid_step={grid_step!r}: need 0 < grid_step <= 1")
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValidationError(f"tol={tol!r}: need a finite tol > 0")
-    if family == "bernoulli":
-        problem = _BernoulliProblem(spec, C, phi, objective, level)
-    elif family == "markov1":
-        if phi is not None and phi.depth > 2:
-            raise DepthUnsupported("markov1 family integrates depth <= 2")
-        problem = _MarkovProblem(spec, C, phi, objective, level)
+    lev = resolve_level(spec, level, C)
+    lam = build_potentials(spec)[0]
+    tables = [lam, lev.lam, *lev.phis] + ([phi] if phi is not None else [])
+    if any(t.N != spec.N for t in tables):
+        raise ValidationError(f"every table must have N={spec.N} symbols")
+    k = max(t.depth for t in tables)
+    if k > 2:
+        raise DepthUnsupported(f"variational route integrates depth <= 2, got {k}")
+    N, n_x = spec.N, spec.N**k
+    den = _block_values(lev.lam, k)
+    num = np.stack([_block_values(p, k) for p in lev.phis])
+    # u >= lo and u <= hi become G x <= 0: multiply by int(level.lam) < 0
+    G = np.vstack([num - C.lo[:, None] * den, C.hi[:, None] * den - num])
+    # stationarity of pair frequencies: sum_j x_ij = sum_j x_ji (one is implied)
+    S = np.zeros((0, n_x))
+    if k == 2:
+        S = (np.kron(np.eye(N), np.ones(N)) - np.kron(np.ones(N), np.eye(N)))[1:]
+
+    # phase I: the least t with every row <= t at int(-level.lam) = 1 is
+    # the least sup-norm distance of the attainable level values to C
+    A = _with_slacks(
+        np.hstack([np.vstack([-den, S]), np.zeros((S.shape[0] + 1, 1))]),
+        np.hstack([G, -np.ones((G.shape[0], 1))]),
+    )
+    t = _interior_point(np.eye(A.shape[1])[n_x], A, np.eye(A.shape[0])[0])[n_x]
+    if t > 1e-9 * max(1.0, float(np.max(np.abs([C.lo, C.hi])))):
+        raise InfeasibleConstraint(f"level values miss the target box by {t:.3e}")
+
+    if objective == "dimension":
+        norm, gain = -_block_values(lam, k), np.zeros(n_x)
     else:
-        raise ValidationError("family must be 'bernoulli' or 'markov1'")
-    x, val, gap = _variational_optimize(problem, grid_step, tol, seed)
-    return VariationalResult(val, problem.measure(x), gap)
+        norm, gain = np.ones(n_x), _block_values(phi, k)
+    A = _with_slacks(np.vstack([norm, S]), G)
+    c = np.concatenate([-gain, np.zeros(G.shape[0])])
+    x = _interior_point(c, A, np.eye(A.shape[0])[0], N, n_x)[:n_x]
+    value = (_block_entropy(x, N)[0] + float(gain @ x)) / float(norm @ x)
+    u = (num @ x) / float(den @ x)
+    gap = float(np.linalg.norm(np.maximum(np.maximum(C.lo - u, u - C.hi), 0.0)))
+    X = x.reshape(-1, N) / x.sum()
+    if k == 1:
+        weights = ProductMeasureWeights(X[0])
+    else:
+        pi = X.sum(axis=1)
+        weights = MarkovWeights(X / pi[:, None], pi)
+    return VariationalResult(value, weights, gap)

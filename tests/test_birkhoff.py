@@ -150,6 +150,64 @@ def test_erg_variational_infeasible(uniform_spec):
         )
 
 
+def perron_point(f, t):
+    """(int f, h) of the equilibrium state of the depth-2 potential t * f.
+
+    P(t) = log rho(exp(t f)) is convex; its slope c = int f dmu_t comes from
+    the left and right Perron vectors, and h = P(t) - t c is the largest
+    entropy among invariant measures with int f dmu = c.
+    """
+    A = np.exp(t * f)
+    vals, right = np.linalg.eig(A)
+    k = int(np.argmax(vals.real))
+    rho = float(vals[k].real)
+    r = np.abs(right[:, k].real)
+    vals_t, left = np.linalg.eig(A.T)
+    l = np.abs(left[:, int(np.argmax(vals_t.real))].real)
+    c = float(l @ (f * A) @ r) / (rho * float(l @ r))
+    return c, math.log(rho) - t * c
+
+
+def markov_reference(f, lo, hi, abs_log_r):
+    """sup of h / |log r| over invariant measures with int f in [lo, hi].
+
+    The unconstrained maximum sits at t = 0; otherwise the box end nearest
+    its mean is active, reached by bisection on the increasing slope c(t).
+    """
+    c = min(max(perron_point(f, 0.0)[0], lo), hi)
+    a, b = -40.0, 40.0
+    for _ in range(200):
+        mid = 0.5 * (a + b)
+        if perron_point(f, mid)[0] < c:
+            a = mid
+        else:
+            b = mid
+    return perron_point(f, 0.5 * (a + b))[1] / abs_log_r
+
+
+def test_erg_variational_markov_matches_perron_root(uniform_spec):
+    f = np.array([[0.4, -0.6], [0.9, -0.2]])
+    obs = ObservableTable(PotentialTable(f))
+    for lo, hi in ((0.3, 0.4), (0.2, 0.3), (-0.2, -0.1), (0.25, 0.5), (-0.3, 0.0)):
+        res = erg_spectrum_variational(uniform_spec, obs, TargetBox.interval(lo, hi))
+        assert abs(res.value - markov_reference(f, lo, hi, LOG2)) <= 1e-4, (lo, hi)
+        assert res.constraint_gap <= 1e-12, (lo, hi)
+
+
+def test_erg_variational_markov_three_symbols():
+    from mfshift.model import ModelSpec
+
+    spec = ModelSpec(ratios=[1 / 3] * 3, measures=[[1 / 3] * 3], label="uniform3")
+    f = np.random.default_rng(11).uniform(-1.0, 1.0, size=(3, 3))
+    c = perron_point(f, 0.8)[0]
+    res = erg_spectrum_variational(
+        spec, ObservableTable(PotentialTable(f)), TargetBox.interval(c, c + 0.1)
+    )
+    assert res.weights.P.shape == (3, 3)
+    assert abs(res.value - markov_reference(f, c, c + 0.1, math.log(3))) <= 1e-4
+    assert res.constraint_gap <= 1e-12
+
+
 def test_route_agreement_random_intervals(uniform_spec):
     rng = np.random.default_rng(5)
     obs = indicator_obs()

@@ -143,7 +143,8 @@ def test_json_deterministic_and_round_trip(quarter_file, tmp_path, capsys):
     assert code1 == code2 == EXIT_OK
     assert out1 == out2  # identical bytes without the timestamp
     doc, rows = read_json_rows(out1)
-    assert doc["schema_version"] == 1
+    assert doc["schema_version"] == 2
+    assert "seed" not in doc
     assert doc["osc_assumed"] is True
     from mfshift.spectrum import beta
 
@@ -300,6 +301,7 @@ def test_output_file_written(quarter_file, tmp_path, capsys):
         ["spectrum", "--workers", "2"],
         ["zeta", "--n-max", "abc"],
         ["no-such-command"],
+        ["oracle", "--target", "0.8:1.0", "--seed", "1"],
     ],
 )
 def test_usage_error_exit_3(quarter_file, capsys, args):
@@ -317,8 +319,16 @@ def test_help_exits_0(capsys):
 
 
 def test_cli_import_skips_scipy_and_process_pool():
+    # the variational route solves its programs in numpy: a Bernoulli solve
+    # and a markov1 Birkhoff solve load no scipy.optimize either
     code = (
-        "import sys, mfshift.cli; "
+        "import sys, numpy as np, mfshift.cli\n"
+        "from mfshift import ModelSpec, ObservableTable, PotentialTable, TargetBox\n"
+        "from mfshift import erg_spectrum_variational, variational_solve\n"
+        "spec = ModelSpec(ratios=[0.5, 0.5], measures=[[0.25, 0.75]])\n"
+        "variational_solve(spec, TargetBox.interval(0.7, 0.9), objective='dimension')\n"
+        "obs = ObservableTable(PotentialTable(np.array([[0.4, -0.6], [0.9, -0.2]])))\n"
+        "erg_spectrum_variational(spec, obs, TargetBox.interval(0.3, 0.4))\n"
         "print(sorted(m for m in ('scipy.optimize', 'concurrent.futures.process') "
         "if m in sys.modules))"
     )

@@ -9,6 +9,7 @@ from mfshift.errors import InfeasibleConstraint, ValidationError
 from mfshift.logsum import NEG_INF
 from mfshift.model import (
     LevelMap,
+    MarkovWeights,
     ModelSpec,
     PotentialTable,
     ProductMeasureWeights,
@@ -20,7 +21,6 @@ from mfshift.model import (
 )
 from mfshift.spectrum import (
     DEFAULT_Q_CAP,
-    _BernoulliProblem,
     beta,
     beta_gradient,
     legendre,
@@ -34,6 +34,9 @@ from conftest import zero_potential
 LOG2 = math.log(2)
 ALPHA0 = 2.0 - math.log2(3) / 2.0  # level value at q=0 for the quarter spec
 ALPHA1 = -(0.25 * math.log2(0.25) + 0.75 * math.log2(0.75))
+TERNARY2 = ModelSpec(
+    ratios=[1 / 3] * 3, measures=[[0.2, 0.3, 0.5], [0.5, 0.25, 0.25]], label="ternary2"
+)
 
 
 def random_specs(count, seed=3):
@@ -308,6 +311,18 @@ def test_variational_infeasible(quarter_spec):
         variational_solve(
             quarter_spec, TargetBox.interval(5.0, 6.0), objective="dimension"
         )
+    # alpha = 2 is attained only by the point mass on symbol 1: entropy 0
+    res = variational_solve(quarter_spec, TargetBox.point(2.0), objective="dimension")
+    assert abs(res.value) <= 1e-12 and res.constraint_gap <= 1e-12
+    with pytest.raises(InfeasibleConstraint):
+        variational_solve(
+            quarter_spec, TargetBox.interval(2.0 + 1e-7, 2.1), objective="dimension"
+        )
+    # each coordinate range is attainable, the box misses the hull (a triangle)
+    with pytest.raises(InfeasibleConstraint):
+        variational_solve(
+            TERNARY2, TargetBox.interval([1.38, 1.15], [1.42, 1.2]), objective="dimension"
+        )
 
 
 def test_route_agreement_random_boxes():
@@ -333,55 +348,66 @@ def test_route_agreement_random_boxes():
             assert var.value == pytest.approx(sup.value, abs=1e-4)
 
 
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        dict(grid_step=0.0),
-        dict(grid_step=float("nan")),
-        dict(grid_step=-0.01),
-        dict(grid_step=3.0),
-        dict(grid_step=float("inf")),
-        dict(tol=0.0),
-        dict(tol=-1e-6),
-        dict(tol=float("nan")),
-        dict(tol=float("inf")),
-    ],
-)
-def test_variational_rejects_bad_numeric_arguments(quarter_spec, uniform_spec, kwargs):
-    with pytest.raises(ValidationError):
-        variational_solve(
-            quarter_spec, TargetBox.interval(0.7, 0.9), objective="dimension", **kwargs
-        )
-    obs = ObservableTable(PotentialTable(np.array([1.0, 0.0])))
-    with pytest.raises(ValidationError):
-        erg_spectrum_variational(uniform_spec, obs, TargetBox.interval(0.2, 0.4), **kwargs)
+def _equal_ratio_point(spec, q):
+    """Closed-form (alpha(q), f(alpha(q))) of an equal-ratio model, any M.
+
+    beta(q) = log(sum_i prod_m p_{m,i}^{q_m}) / -log r, and alpha(q) is the
+    Gibbs mean of (log p_{m,i} / log r)_m.
+    """
+    log_r = math.log(spec.ratios[0])
+    z = np.asarray(q) @ spec.log_measures
+    w = np.exp(z - z.max())
+    b = (z.max() + math.log(w.sum())) / -log_r
+    a = spec.log_measures @ (w / w.sum()) / log_r
+    return a, float(np.dot(q, a) + b)
 
 
-def test_variational_accepts_unit_grid_step(quarter_spec):
-    # grid_step 1 seeds at the simplex vertices only
-    C = TargetBox.interval(0.7, 0.9)
-    res = variational_solve(quarter_spec, C, objective="dimension", grid_step=1.0)
-    assert res.value == pytest.approx(sup_spectrum(quarter_spec, C).value, abs=1e-4)
+def test_variational_m2_boxes_match_closed_form():
+    # each box has its corner at alpha(q) on the side where f rises, so the
+    # supremum over the box is f(alpha(q))
+    rng = np.random.default_rng(1)
+    for _ in range(8):
+        q = rng.uniform(0.3, 2.5, size=2) * rng.choice([-1.0, 1.0], size=2)
+        a, f = _equal_ratio_point(TERNARY2, q)
+        width = rng.uniform(0.05, 0.2, size=2)
+        C = TargetBox.interval(np.where(q > 0, a - width, a), np.where(q > 0, a, a + width))
+        res = variational_solve(TERNARY2, C, objective="dimension")
+        assert abs(res.value - f) <= 1e-4, q
+        assert res.constraint_gap <= 1e-12, q
 
 
 def test_variational_reproduces_recorded_values(quarter_spec, uniform_spec, ternary_spec):
-    # (value, constraint_gap) recorded from the per-point evaluation that
-    # built a measure object for every seed and probe
+    # (value, constraint_gap) recorded from the block-frequency program, and
+    # each value within 1e-12 of an exact reference
+    def check(res, recorded, exact):
+        assert (res.value, res.constraint_gap) == recorded
+        assert abs(res.value - exact) <= 1e-12
+
+    def binary_entropy(x):
+        return -(x * math.log(x) + (1 - x) * math.log(1 - x))
+
+    # quarter: level u = -(w log 1/4 + (1 - w) log 3/4) / log 2 is affine in
+    # the weight w of symbol 1; the box end nearest the peak is active
     a = float(beta(quarter_spec, 1.5).alpha[0])
     res = variational_solve(
         quarter_spec, TargetBox.interval(a - 0.05, a + 0.05), objective="dimension"
     )
-    assert (res.value, res.constraint_gap) == (0.70757509216885, 0.0)
+    w = ((a + 0.05) * LOG2 + math.log(0.75)) / math.log(3)
+    check(res, (0.7075750921688496, 0.0), binary_entropy(w) / LOG2)
     a0 = float(beta(ternary_spec, 0.0).alpha[0])
     res = variational_solve(
         ternary_spec, TargetBox.interval(a0 - 0.04, a0 + 0.08), objective="dimension"
     )
-    assert (res.value, res.constraint_gap) == (1.0, 0.0)
+    check(res, (1.0, 0.0), 1.0)
+    # Lagrange root on the face u = 1.1: w proportional to
+    # exp(phi + s (log p - 1.1 log r)), with s bisected to machine precision
     phi = PotentialTable(np.array([0.3, -0.7, 0.1]))
     res = variational_solve(
         ternary_spec, TargetBox.interval(1.1, 1.3), phi=phi, objective="pressure"
     )
-    assert (res.value, res.constraint_gap) == (1.0820427371097208, 0.0)
+    check(res, (1.0820427402206114, 0.0), 1.0820427402206471)
+    # a depth-2 level map takes the pair (memory-1 Markov) family; the
+    # reference is the Perron-root equilibrium state on the face u = 1
     lev = LevelMap(
         (PotentialTable(quarter_spec.log_measures[0][:, None] + 0.05 * np.eye(2)),),
         PotentialTable(quarter_spec.log_ratios),
@@ -389,94 +415,69 @@ def test_variational_reproduces_recorded_values(quarter_spec, uniform_spec, tern
     res = variational_solve(
         quarter_spec, TargetBox.interval(0.8, 1.0), objective="dimension", level=lev
     )
-    assert (res.value, res.constraint_gap) == (0.9666272581343013, 2.233549123431544e-09)
+    assert isinstance(res.weights, MarkovWeights)
+    check(res, (0.9666891772591466, 0.0), 0.9666891772591485)
     res = erg_spectrum_variational(
         uniform_spec,
         ObservableTable(PotentialTable(np.array([1.0, 0.0]))),
         TargetBox.interval(0.25, 0.35),
     )
-    assert (res.value, res.constraint_gap) == (0.9340680553754911, 0.0)
+    check(res, (0.934068055375485, 0.0), binary_entropy(0.35) / LOG2)
     res = erg_spectrum_variational(
         uniform_spec,
         ObservableTable(PotentialTable(np.array([[0.4, -0.6], [0.9, -0.2]]))),
         TargetBox.interval(0.3, 0.4),
     )
     assert res.weights.P.shape == (2, 2)  # depth 2 selects the markov1 family
-    assert (res.value, res.constraint_gap) == (0.707936235438768, 1.822880632551538e-07)
+    check(res, (0.7080402217366399, 0.0), 0.70804022173664)
     with pytest.raises(InfeasibleConstraint):
         variational_solve(quarter_spec, TargetBox.interval(5.0, 6.0), objective="dimension")
-
-
-def _evaluation_points(rng, N):
-    """Simplex points, points with zero weights and finite-difference probes."""
-    pts = list(rng.dirichlet(np.ones(N), size=20))
-    for x in rng.dirichlet(np.ones(N), size=5):
-        x[rng.integers(N)] = 0.0
-        pts.append(x / x.sum())
-    pts.append(np.eye(N)[0])
-    for x in (np.eye(N)[0], rng.dirichlet(np.ones(N))):
-        for i in range(N):
-            for h in (1e-7, -1e-7):
-                probe = x.copy()
-                probe[i] += h  # a negative entry at the vertex; sum != 1
-                pts.append(probe)
-    pts.append(1.3 * rng.dirichlet(np.ones(N)))
-    return np.array(pts)
 
 
 @pytest.mark.parametrize("N", [2, 3, 5])
 @pytest.mark.parametrize("depth", [1, 2])
 @pytest.mark.parametrize("objective", ["dimension", "pressure"])
 def test_bernoulli_evaluation_matches_measure_functions(N, depth, objective):
+    """Block-frequency entropy and integrals against the measure functions.
+
+    Every row checks Bernoulli points (block frequencies w_i, or w_i w_j at
+    depth 2); depth-2 rows also check memory-1 Markov points (stationary
+    pair frequencies pi_i P_ij).
+    The points carry a random total mass: entropy and integrals are
+    1-homogeneous, and the objective divides by the normalising integral.
+    """
     rng = np.random.default_rng(10 * N + depth)
     p = rng.dirichlet(np.ones(N))
-    spec = ModelSpec(
-        ratios=rng.uniform(0.1, 0.6, size=N), measures=[p], potential_depth=depth
-    )
-    lam = PotentialTable(spec.log_ratios).lift(depth)
+    spec = ModelSpec(ratios=rng.uniform(0.1, 0.6, size=N), measures=[p])
+    lam = PotentialTable(spec.log_ratios)
     num = np.log(p)[(...,) + (None,) * (depth - 1)] + np.zeros((N,) * depth)
     if depth == 2:
         num = num + 0.05 * np.eye(N)  # tail-sensitive, still negative
     lev = LevelMap((PotentialTable(num),), lam)
     phi = PotentialTable(-rng.uniform(0.1, 2.0, size=(N,) * depth))
-    problem = _BernoulliProblem(
-        spec, TargetBox.interval(0.0, 50.0), phi if objective == "pressure" else None,
-        objective, lev,
-    )
-    X = _evaluation_points(rng, N)
-    obj, u = problem.evaluate(X)
-    assert obj.shape == (len(X),) and u.shape == (len(X), 1)
-    for k, x in enumerate(X):
-        w = np.clip(x, 0.0, None)
-        mu = ProductMeasureWeights(w / w.sum())
-        h = entropy(mu)
-        if objective == "dimension":
-            ref, scale = -h / integrate(mu, lam), None
+    points = []
+    for w in rng.dirichlet(np.ones(N), size=10):
+        if depth == 1:
+            points.append((w, ProductMeasureWeights(w)))
         else:
-            ref, scale = h + integrate(mu, phi), h + abs(integrate(mu, phi))
-        scale = abs(ref) if scale is None else scale
-        ref_u = level_map(mu, lev)
-        one_obj, one_u = problem.evaluate_one(x)
-        for got, got_u in ((one_obj, one_u), (obj[k], u[k])):
-            assert abs(got - ref) <= 1e-15 * scale
-            assert np.all(np.abs(got_u - ref_u) <= 1e-15 * np.abs(ref_u))
+            points.append((np.outer(w, w).ravel(), ProductMeasureWeights(w)))
+            P = rng.dirichlet(np.ones(N), size=N)
+            pi = np.linalg.matrix_power(P.T, 200) @ w  # stationary vector
+            points.append(((pi[:, None] * P).ravel(), MarkovWeights(P)))
 
+    def values(table):
+        return spectrum_mod._block_values(table, depth)
 
-def test_markov_evaluate_one_builds_one_measure(monkeypatch, uniform_spec):
-    built = []
-
-    class CountingWeights(spectrum_mod.MarkovWeights):
-        def __post_init__(self):
-            built.append(1)
-            super().__post_init__()
-
-    monkeypatch.setattr(spectrum_mod, "MarkovWeights", CountingWeights)
-    obs = ObservableTable(PotentialTable(np.eye(2)))
-    problem = spectrum_mod._MarkovProblem(
-        uniform_spec, TargetBox.interval(0.1, 0.3), None, "dimension",
-        obs.as_level_map(),
-    )
-    for theta in problem.seeds(np.random.default_rng(0), 1e-2)[:10]:
-        built.clear()
-        problem.evaluate_one(theta)
-        assert len(built) == 1
+    for x, mu in points:
+        x = x * rng.uniform(0.5, 2.0)
+        h = entropy(mu)
+        got_h = spectrum_mod._block_entropy(x, N)[0]
+        assert abs(got_h / x.sum() - h) <= 1e-14 * max(h, 1.0)
+        if objective == "dimension":
+            got, ref = got_h / float(values(lam) @ -x), -h / integrate(mu, lam)
+        else:
+            got = (got_h + float(values(phi) @ x)) / x.sum()
+            ref = h + integrate(mu, phi)
+        assert abs(got - ref) <= 1e-14 * (h + abs(integrate(mu, phi)) + abs(ref))
+        got_u = float(values(lev.phis[0]) @ x) / float(values(lev.lam) @ x)
+        assert abs(got_u - level_map(mu, lev)[0]) <= 1e-14 * abs(got_u)
