@@ -140,16 +140,19 @@ def parse_observable(path, N: int) -> ObservableTable:
 def parse_target(text: str) -> TargetBox:
     """Box syntax: per coordinate 'lo:hi' or a singleton 'a', comma-separated."""
     lo, hi = [], []
-    for part in text.split(","):
-        piece = part.strip()
-        if ":" in piece:
-            a, b = piece.split(":", 1)
-            lo.append(float(a))
-            hi.append(float(b))
-        else:
-            v = float(piece)
-            lo.append(v)
-            hi.append(v)
+    try:
+        for part in text.split(","):
+            piece = part.strip()
+            if ":" in piece:
+                a, b = piece.split(":", 1)
+                lo.append(float(a))
+                hi.append(float(b))
+            else:
+                v = float(piece)
+                lo.append(v)
+                hi.append(v)
+    except ValueError as exc:
+        raise ParseError(f"bad target '{text}', expected lo:hi or a per coordinate") from exc
     return TargetBox.interval(lo, hi)
 
 
@@ -160,6 +163,8 @@ def parse_grid(text: str) -> np.ndarray:
         start, stop, count = float(start), float(stop), int(count)
     except ValueError as exc:
         raise ParseError(f"bad grid '{text}', expected start:stop:count") from exc
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ParseError(f"bad grid '{text}': start and stop must be finite")
     if count < 1:
         raise ValidationError("grid count must be >= 1")
     if count == 1:
@@ -170,7 +175,10 @@ def parse_grid(text: str) -> np.ndarray:
 def parse_radii(text: Optional[str]) -> Optional[np.ndarray]:
     if text is None:
         return None
-    return np.array([float(p) for p in text.split(",")])
+    try:
+        return np.array([float(p) for p in text.split(",")])
+    except ValueError as exc:
+        raise ParseError(f"bad radii '{text}', expected comma-separated numbers") from exc
 
 
 # ---------------------------------------------------------------------------

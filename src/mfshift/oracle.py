@@ -15,7 +15,12 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BudgetExceeded, DepthUnsupported, ValidationError
+from .errors import (
+    BudgetExceeded,
+    DepthUnsupported,
+    InfeasibleConstraint,
+    ValidationError,
+)
 from .logsum import NEG_INF
 from .model import LevelMap, ModelSpec, PotentialTable, TargetBox
 
@@ -193,11 +198,13 @@ def brute_variational(
     objective: str = "dimension",
     level: Optional[LevelMap] = None,
 ) -> BruteVariationalResult:
-    """Dense simplex scan of the constrained variational problem, no polish.
+    """Dense simplex scan of the constrained variational problem.
 
     The constraint keeps the level value of ``level`` (the model's level
     map by default) in C; the dimension objective divides by the model's
-    scaling integral.
+    scaling integral.  The scan covers product (Bernoulli) measures only, so
+    for a depth-2 ``phi`` or level map it is a lower bound on the supremum
+    over invariant measures, not a twin of ``variational_solve``.
     """
     if objective not in ("pressure", "dimension"):
         raise ValidationError("objective must be 'pressure' or 'dimension'")
@@ -250,10 +257,18 @@ def compare_variational(
     objective: str = "dimension",
     grid_step: float = 1e-3,
 ) -> OracleReport:
-    """Twin report: dense simplex scan vs the block-frequency optimizer."""
-    from .errors import InfeasibleConstraint
+    """Twin report: dense simplex scan vs the block-frequency optimizer.
+
+    Depth-1 data only: for a depth-2 ``phi`` the scan of product measures
+    is a lower bound, not a twin, so it raises ``DepthUnsupported``.
+    """
     from .spectrum import variational_solve
 
+    if phi is not None and phi.depth > 1:
+        raise DepthUnsupported(
+            "the product-measure scan twins depth-1 data only, "
+            f"got a depth-{phi.depth} potential"
+        )
     naive = brute_variational(spec, C, phi, grid_step, objective)
     try:
         fast = variational_solve(spec, C, phi, objective=objective).value

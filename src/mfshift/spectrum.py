@@ -16,7 +16,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import DepthUnsupported, InfeasibleConstraint, ValidationError
+from .errors import DepthUnsupported, InfeasibleConstraint, MfShiftError, ValidationError
 from .logsum import NEG_INF, logsumexp
 from .mfzeta import resolve_level
 from .model import (
@@ -83,8 +83,9 @@ class VariationalResult:
 def linprog(*args, **kwargs):
     """scipy.optimize.linprog, imported on the first call.
 
-    Only the M > 1 hull check and the box-supremum search solve linear
-    programs, so the scipy import is not paid on import of the package.
+    Only the M > 1 hull check solves a linear program: once per vector
+    Legendre point and once per box supremum.  The scipy import is not paid
+    on import of the package.
     """
     from scipy.optimize import linprog as scipy_linprog
 
@@ -95,6 +96,8 @@ def _as_q(spec: ModelSpec, q) -> np.ndarray:
     q = np.atleast_1d(np.asarray(q, dtype=float))
     if q.size != spec.M:
         raise ValidationError(f"q must have {spec.M} component(s)")
+    if not np.all(np.isfinite(q)):
+        raise ValidationError("q must be finite")
     return q
 
 
@@ -161,39 +164,21 @@ def _newton_jacobian(spec: ModelSpec, bp: BetaPoint) -> np.ndarray:
     return J
 
 
-def attainable_hull_contains(
-    spec: ModelSpec, alpha, tol: float = 1e-9
-) -> bool:
-    """Membership of alpha in the closed attainable level-value set.
+def _hull_meets_box(spec: ModelSpec, lo, hi) -> bool:
+    """Whether the box [lo, hi] meets the attainable level values.
 
-    The attainable set of a depth-1 level map is the convex hull of the
-    per-symbol ratio points (log p_{m,i} / log r_i)_m.
+    They form the convex hull of the per-symbol ratio points
+    v_i = (log p_{m,i} / log r_i)_m: an interval for M = 1, and for M > 1
+    one feasibility LP over convex weights theta, lo <= sum theta_i v_i <= hi.
     """
-    alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
     pts = LevelMap.from_spec(spec).symbol_ratios()  # (N, M)
     if spec.M == 1:
-        v = pts[:, 0]
-        return bool(v.min() - tol <= alpha[0] <= v.max() + tol)
+        return bool(pts.min() <= hi[0] and lo[0] <= pts.max())
     N = pts.shape[0]
-    # theta >= 0, sum theta = 1, sum theta v_i = alpha (within tol via bounds)
-    A_eq = np.vstack([pts.T, np.ones((1, N))])
-    b_eq = np.concatenate([alpha, [1.0]])
     res = linprog(
         c=np.zeros(N),
-        A_eq=A_eq,
-        b_eq=b_eq,
-        bounds=[(0.0, 1.0)] * N,
-        method="highs",
-    )
-    if res.success:
-        return True
-    # retry with a tol-relaxed box around alpha
-    A_ub = np.vstack([pts.T, -pts.T])
-    b_ub = np.concatenate([alpha + tol, -(alpha - tol)])
-    res = linprog(
-        c=np.zeros(N),
-        A_ub=A_ub,
-        b_ub=b_ub,
+        A_ub=np.vstack([pts.T, -pts.T]),
+        b_ub=np.concatenate([hi, -lo]),
         A_eq=np.ones((1, N)),
         b_eq=[1.0],
         bounds=[(0.0, 1.0)] * N,
@@ -205,8 +190,7 @@ def attainable_hull_contains(
 def _legendre_scalar(
     spec: ModelSpec, a: float, tol: float, q_cap: float
 ) -> LegendreResult:
-    v = LevelMap.from_spec(spec).symbol_ratios()[:, 0]
-    if not (v.min() - 1e-12 <= a <= v.max() + 1e-12):
+    if not _hull_meets_box(spec, [a - 1e-12], [a + 1e-12]):
         return LegendreResult(NEG_INF, np.array([np.nan]))
 
     def alpha_of(q: float) -> float:
@@ -253,7 +237,7 @@ def _legendre_scalar(
 def _legendre_newton(
     spec: ModelSpec, alpha: np.ndarray, tol: float, q_cap: float
 ) -> LegendreResult:
-    if not attainable_hull_contains(spec, alpha, tol=1e-12):
+    if not _hull_meets_box(spec, alpha - 1e-12, alpha + 1e-12):
         return LegendreResult(NEG_INF, np.full(spec.M, np.nan))
     q = np.zeros(spec.M)
     bp = beta(spec, q)
@@ -266,10 +250,11 @@ def _legendre_newton(
         # least squares: J is singular when the level set is degenerate
         # (N=2 with two measures), and h then lies in its range
         dq = np.linalg.lstsq(J, -h, rcond=None)[0]
-        # damped update: keep the residual decreasing, stop when it cannot
+        # damped update, clipped to the q-cap: keep the residual decreasing,
+        # stop when it cannot
         step = 1.0
         for _ in range(40):
-            q_new = q + step * dq
+            q_new = np.clip(q + step * dq, -q_cap, q_cap)
             bp_new = beta(spec, q_new)
             if float(np.max(np.abs(bp_new.alpha - alpha))) < err:
                 break
@@ -277,11 +262,8 @@ def _legendre_newton(
         else:
             break
         q, bp = q_new, bp_new
-        if float(np.max(np.abs(q))) > q_cap:
-            q = np.clip(q, -q_cap, q_cap)
-            bp = beta(spec, q)
-            f = float(alpha @ q + bp.beta)
-            return LegendreResult(f, q, boundary=True)
+        if float(np.max(np.abs(q))) >= q_cap:
+            return LegendreResult(float(alpha @ q + bp.beta), q, boundary=True)
     return LegendreResult(float(alpha @ q + bp.beta), q)
 
 
@@ -305,8 +287,8 @@ def legendre(
     alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
     if alpha.size != spec.M:
         raise ValidationError(f"alpha must have {spec.M} component(s)")
-    if np.any(alpha <= 0):
-        raise ValidationError("alpha must be positive componentwise")
+    if not np.all(np.isfinite(alpha) & (alpha > 0)):
+        raise ValidationError("alpha must be finite and positive componentwise")
     if spec.M == 1:
         return _legendre_scalar(spec, float(alpha[0]), tol, q_cap)
     return _legendre_newton(spec, alpha, tol, q_cap)
@@ -334,83 +316,45 @@ def spectrum_sweep(spec: ModelSpec, alpha_grid) -> SpectrumCurve:
 
 
 def sup_spectrum(spec: ModelSpec, C: TargetBox) -> SupResult:
-    """Maximum of the concave spectrum over a target box.
+    """Maximum of the concave spectrum over a target box, by its convex dual.
 
-    The unconstrained peak sits at alpha(0) with value the similarity
-    dimension; when the box misses it, the maximizer lies on the box
-    boundary and is located through the monotone parameterization by q.
+    sup_{alpha in C} f(alpha) = inf_q [beta(q) + sum_m max(lo_m q_m, hi_m q_m)]
+    by minimax duality.  A box that misses the attainable hull gives -inf
+    (the dual is unbounded below there).  With slacks s_m >= lo_m q_m and
+    s_m >= hi_m q_m the dual is a smooth convex program in (q, s), gradient
+    (-alpha(q), 1), solved by SLSQP with |q_m| <= the q-cap; the maximizer
+    is alpha(q*) clipped to C.  Any q bounds the supremum from above, so an
+    unconverged solve raises instead of returning an overestimate.
     """
     if C.dim != spec.M:
         raise ValidationError("target box dimension must match spec.M")
-    bp0 = beta(spec, np.zeros(spec.M))
-    if C.contains_point(bp0.alpha):
-        return SupResult(bp0.beta, bp0.alpha.copy())
-    if spec.M == 1:
-        v = LevelMap.from_spec(spec).symbol_ratios()[:, 0]
-        lo = max(float(C.lo[0]), float(v.min()))
-        hi = min(float(C.hi[0]), float(v.max()))
-        if lo > hi:
-            return SupResult(NEG_INF, np.array([np.nan]))
-        a_star = min(max(float(bp0.alpha[0]), lo), hi)
-        res = legendre(spec, a_star)
-        return SupResult(res.f, np.array([a_star]))
-    return _sup_spectrum_ascent(spec, C, bp0)
+    M, lo, hi = spec.M, C.lo, C.hi
+    if not _hull_meets_box(spec, lo, hi):
+        return SupResult(NEG_INF, np.full(M, np.nan))
+    from scipy.optimize import minimize
 
+    def dual(z):
+        bp = beta(spec, z[:M])
+        return bp.beta + float(z[M:].sum()), np.concatenate([-bp.alpha, np.ones(M)])
 
-def _sup_spectrum_ascent(
-    spec: ModelSpec, C: TargetBox, bp0: BetaPoint
-) -> SupResult:
-    # projected supergradient ascent on the concave Legendre transform;
-    # the minimizing q at alpha is a supergradient there.
-    a = np.clip(bp0.alpha, C.lo, C.hi)
-    res = legendre(spec, a)
-    if res.f == NEG_INF:
-        a0 = _feasible_box_point(spec, C)
-        if a0 is None:
-            return SupResult(NEG_INF, np.full(spec.M, np.nan))
-        a = a0
-        res = legendre(spec, a)
-    best_a, best_f = a.copy(), res.f
-    step = 0.5
-    for k in range(1, 301):
-        g = res.q_star
-        if np.any(~np.isfinite(g)):
-            break
-        trial = np.clip(a + step / math.sqrt(k) * g, C.lo, C.hi)
-        tr = legendre(spec, trial)
-        if tr.f == NEG_INF:
-            step *= 0.5
-            if step < 1e-12:
-                break
-            continue
-        a, res = trial, tr
-        if tr.f > best_f:
-            best_f, best_a = tr.f, trial.copy()
-        if float(np.max(np.abs(g))) * step / math.sqrt(k) < 1e-12:
-            break
-    return SupResult(best_f, best_a)
-
-
-def _feasible_box_point(spec: ModelSpec, C: TargetBox):
-    """Any attainable level point inside the box, or None."""
-    pts = LevelMap.from_spec(spec).symbol_ratios()
-    N = pts.shape[0]
-    A_ub = np.vstack([pts.T, -pts.T])
-    b_ub = np.concatenate([C.hi, -C.lo])
-    res = linprog(
-        c=np.zeros(N),
-        A_ub=A_ub,
-        b_ub=b_ub,
-        A_eq=np.ones((1, N)),
-        b_eq=[1.0],
-        bounds=[(0.0, 1.0)] * N,
-        method="highs",
+    # s - lo q >= 0 and s - hi q >= 0 as rows over z = (q, s)
+    rows = np.block([[-np.diag(lo), np.eye(M)], [-np.diag(hi), np.eye(M)]])
+    res = minimize(
+        dual,
+        np.zeros(2 * M),
+        jac=True,
+        method="SLSQP",
+        bounds=[(-DEFAULT_Q_CAP, DEFAULT_Q_CAP)] * M + [(None, None)] * M,
+        constraints={"type": "ineq", "fun": lambda z: rows @ z, "jac": lambda z: rows},
+        options={"ftol": 1e-15, "maxiter": 200},
     )
-    if not res.success:
-        return None
-    return pts.T @ res.x
-
-
+    # status 8: the line search stalled at rounding level
+    if res.status not in (0, 8):
+        raise MfShiftError(f"box-supremum dual: SLSQP status {res.status}, {res.message}")
+    q = np.clip(res.x[:M], -DEFAULT_Q_CAP, DEFAULT_Q_CAP)
+    bp = beta(spec, q)
+    value = bp.beta + float(np.sum(np.maximum(lo * q, hi * q)))
+    return SupResult(value, np.clip(bp.alpha, lo, hi))
 
 
 # ---------------------------------------------------------------------------

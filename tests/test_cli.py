@@ -278,6 +278,16 @@ def test_non_finite_target_exit_3(quarter_file, capsys, target):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("grid", ["nan:1:3", "0.5:inf:3", "-inf:1:1"])
+def test_non_finite_grid_exit_3(quarter_file, capsys, grid):
+    code, out, err = run_cli(
+        ["spectrum", "--model", quarter_file, f"--grid={grid}"], capsys
+    )
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert "error:" in err
+
+
 def test_output_file_written(quarter_file, tmp_path, capsys):
     out_path = tmp_path / "out.csv"
     code, out, _ = run_cli(
@@ -302,6 +312,8 @@ def test_output_file_written(quarter_file, tmp_path, capsys):
         ["zeta", "--n-max", "abc"],
         ["no-such-command"],
         ["oracle", "--target", "0.8:1.0", "--seed", "1"],
+        ["mf-bowen", "--target", "abc"],
+        ["mf-bowen", "--target", "0.8:1.0", "--shrinking", "--radii", "0.1,x"],
     ],
 )
 def test_usage_error_exit_3(quarter_file, capsys, args):
@@ -319,13 +331,17 @@ def test_help_exits_0(capsys):
 
 
 def test_cli_import_skips_scipy_and_process_pool():
-    # the variational route solves its programs in numpy: a Bernoulli solve
-    # and a markov1 Birkhoff solve load no scipy.optimize either
+    # M = 1 Legendre points check the hull without a linear program, and the
+    # variational route solves its programs in numpy: a Bernoulli solve and
+    # a markov1 Birkhoff solve load no scipy.optimize either
     code = (
         "import sys, numpy as np, mfshift.cli\n"
         "from mfshift import ModelSpec, ObservableTable, PotentialTable, TargetBox\n"
-        "from mfshift import erg_spectrum_variational, variational_solve\n"
+        "from mfshift import beta, erg_spectrum_variational, legendre, variational_solve\n"
         "spec = ModelSpec(ratios=[0.5, 0.5], measures=[[0.25, 0.75]])\n"
+        "beta(spec, 1.5)\n"
+        "legendre(spec, 0.8)\n"
+        "legendre(spec, 2.5)\n"
         "variational_solve(spec, TargetBox.interval(0.7, 0.9), objective='dimension')\n"
         "obs = ObservableTable(PotentialTable(np.array([[0.4, -0.6], [0.9, -0.2]])))\n"
         "erg_spectrum_variational(spec, obs, TargetBox.interval(0.3, 0.4))\n"

@@ -1,10 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 
+from mfshift.errors import DepthUnsupported
 from mfshift.logsum import NEG_INF
 from mfshift.mfzeta import constrained_coefficient
-from mfshift.model import TargetBox
+from mfshift.model import PotentialTable, TargetBox
 from mfshift.oracle import (
     brute_constrained_sum,
     brute_variational,
@@ -117,6 +119,17 @@ def test_compare_helpers_record_deviations(quarter_spec):
         quarter_spec, TargetBox.interval(0.7, 0.9), objective="dimension"
     )
     assert repv.rel_deviation < 2e-3
+
+
+def test_compare_variational_refuses_depth2_phi(quarter_spec):
+    # the scan covers product measures only; the block-frequency program
+    # optimises over pair frequencies for depth-2 data (0.6228 against the
+    # scan's 0.5693 on this box), so there is no twin to compare
+    phi = PotentialTable(np.array([[0.3, -0.5], [-0.4, 0.2]]))
+    with pytest.raises(DepthUnsupported):
+        compare_variational(
+            quarter_spec, TargetBox.interval(0.8, 1.0), phi, objective="pressure"
+        )
 
 
 def test_make_report_matched_neg_inf():

@@ -5,7 +5,7 @@ import pytest
 
 import mfshift.spectrum as spectrum_mod
 from mfshift.birkhoff import ObservableTable, erg_spectrum_variational
-from mfshift.errors import InfeasibleConstraint, ValidationError
+from mfshift.errors import InfeasibleConstraint, MfShiftError, ValidationError
 from mfshift.logsum import NEG_INF
 from mfshift.model import (
     LevelMap,
@@ -36,6 +36,14 @@ ALPHA0 = 2.0 - math.log2(3) / 2.0  # level value at q=0 for the quarter spec
 ALPHA1 = -(0.25 * math.log2(0.25) + 0.75 * math.log2(0.75))
 TERNARY2 = ModelSpec(
     ratios=[1 / 3] * 3, measures=[[0.2, 0.3, 0.5], [0.5, 0.25, 0.25]], label="ternary2"
+)
+MIXED3 = ModelSpec(
+    ratios=[0.4, 0.35, 0.3], measures=[[0.2, 0.3, 0.5], [0.5, 0.2, 0.3]], label="mixed3"
+)
+N4M3 = ModelSpec(
+    ratios=[0.3, 0.25, 0.2, 0.15],
+    measures=[[0.1, 0.2, 0.3, 0.4], [0.4, 0.3, 0.2, 0.1], [0.25, 0.15, 0.35, 0.25]],
+    label="n4m3",
 )
 
 
@@ -141,8 +149,22 @@ def test_legendre_boundary_and_exterior(quarter_spec):
     assert exterior.f == NEG_INF
     low = legendre(quarter_spec, 0.2)
     assert low.f == NEG_INF
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValidationError):
+            legendre(quarter_spec, bad)
     with pytest.raises(ValidationError):
-        legendre(quarter_spec, -1.0)
+        legendre(TERNARY2, [math.nan, 0.5])
+    for q in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValidationError):
+            beta(quarter_spec, q)
+
+
+def test_legendre_near_vertex_stays_within_q_cap():
+    # about 1e-7 inside the hull from the vertex of symbol 1, where f = 0:
+    # the Newton step heads for |q| ~ 1e12 unless it is clipped to the cap
+    res = legendre(TERNARY2, [1.46497348, 0.63092985])
+    assert math.isfinite(res.f) and abs(res.f) <= 1e-5
+    assert float(np.max(np.abs(res.q_star))) <= DEFAULT_Q_CAP
 
 
 def test_spectrum_sweep_uniform(uniform_spec):
@@ -249,11 +271,7 @@ def test_mixed_three_symbols_duality():
 def test_sup_spectrum_mixed_box():
     from mfshift.oracle import brute_variational
 
-    spec = ModelSpec(
-        ratios=[0.4, 0.35, 0.3],
-        measures=[[0.2, 0.3, 0.5], [0.5, 0.2, 0.3]],
-        label="mixed3",
-    )
+    spec = MIXED3
     peak = beta(spec, [0.0, 0.0])
     around_peak = TargetBox.interval(peak.alpha - 0.1, peak.alpha + 0.1)
     res = sup_spectrum(spec, around_peak)
@@ -276,6 +294,64 @@ def test_sup_spectrum_cases(quarter_spec):
     assert single.value == pytest.approx(ALPHA1, abs=1e-9)
     missed = sup_spectrum(quarter_spec, TargetBox.interval(0.1, 0.2))
     assert missed.value == NEG_INF
+
+
+def test_sup_spectrum_matches_variational_route(monkeypatch, quarter_spec):
+    # random boxes, many of them missing the attainable hull, plus a ternary2
+    # box on which a supergradient ascent raised ValidationError and one on
+    # which it ran all of its 300 steps, against the independent
+    # block-frequency program; an M > 1 box takes one hull LP, M = 1 none
+    calls = []
+    scipy_linprog = spectrum_mod.linprog
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return scipy_linprog(*args, **kwargs)
+
+    monkeypatch.setattr(spectrum_mod, "linprog", counted)
+    a = beta(TERNARY2, [1.2, -0.8]).alpha
+    cases = [
+        (TERNARY2, TargetBox.interval([1.35847072, 0.47691419], [1.64404391, 0.65042967])),
+        (TERNARY2, TargetBox.interval(a - 0.1, a + 0.1)),
+    ]
+    rng = np.random.default_rng(11)
+    for spec in (TERNARY2, MIXED3, N4M3, quarter_spec):
+        pts = LevelMap.from_spec(spec).symbol_ratios()
+        lo, hi = pts.min(axis=0), pts.max(axis=0)
+        for _ in range(15):
+            c = rng.uniform(lo, hi)
+            w = rng.uniform(0.0, 0.4, size=spec.M) * (hi - lo)
+            cases.append((spec, TargetBox.interval(c - w / 2, c + w / 2)))
+    finite = 0
+    for spec, C in cases:
+        before = len(calls)
+        sup = sup_spectrum(spec, C)
+        assert len(calls) - before == (1 if spec.M > 1 else 0)
+        try:
+            ref = variational_solve(spec, C, objective="dimension").value
+        except InfeasibleConstraint:
+            assert sup.value == NEG_INF and np.all(np.isnan(sup.argmax))
+            continue
+        assert abs(sup.value - ref) <= 1e-10, (spec.label, C)
+        assert C.contains_point(sup.argmax)
+        finite += 1
+    assert finite >= 30
+
+
+def test_sup_spectrum_refuses_unconverged_dual(monkeypatch):
+    # every q bounds the supremum from above, so a dual solve cut short by its
+    # iteration limit (SLSQP status 9) must raise, not return an overestimate
+    import scipy.optimize
+
+    minimize = scipy.optimize.minimize
+
+    def one_step(*args, **kwargs):
+        return minimize(*args, **dict(kwargs, options={"maxiter": 1}))
+
+    monkeypatch.setattr(scipy.optimize, "minimize", one_step)
+    a = beta(TERNARY2, [1.2, -0.8]).alpha
+    with pytest.raises(MfShiftError, match="status 9"):
+        sup_spectrum(TERNARY2, TargetBox.interval(a - 0.1, a + 0.1))
 
 
 def test_variational_unconstrained_max_entropy(quarter_spec):
