@@ -66,13 +66,10 @@ from .pressure import (
 from .spectrum import (
     BetaPoint,
     LegendreResult,
-    SpectrumCurve,
     SupResult,
     VariationalResult,
     beta,
-    beta_gradient,
     legendre,
-    spectrum_sweep,
     sup_spectrum,
     variational_solve,
 )

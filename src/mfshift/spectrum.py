@@ -11,7 +11,7 @@ the two routes can cross-validate each other.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -29,7 +29,7 @@ from .model import (
     build_potentials,
 )
 
-DEFAULT_Q_CAP = 60.0
+DEFAULT_Q_CAP = 60.0  # box supremum search range
 _EPS = float(np.finfo(float).eps)
 
 
@@ -47,24 +47,15 @@ class BetaPoint:
 class LegendreResult:
     """Value of the spectrum at one alpha, with the minimizing q.
 
-    ``boundary`` marks alpha on the edge of the attainable set, where the
-    infimum is a limit and f is evaluated at the q-cap; unattainable alpha
+    ``boundary`` marks a minimiser at infinity (alpha on the edge of the
+    attainable set): f is then the limit to rounding, and q_star the point
+    where the Newton decrement reached rounding level.  Unattainable alpha
     gives f = -inf and a nan q.
     """
 
     f: float
     q_star: np.ndarray
     boundary: bool = False
-
-
-@dataclass(frozen=True)
-class SpectrumCurve:
-    """Sampled (alpha, f(alpha)) pairs with the per-point minimizing q."""
-
-    alphas: np.ndarray
-    f: np.ndarray
-    q_at_min: np.ndarray
-    meta: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -83,9 +74,8 @@ class VariationalResult:
 def linprog(*args, **kwargs):
     """scipy.optimize.linprog, imported on the first call.
 
-    Only the M > 1 hull check solves a linear program: once per vector
-    Legendre point and once per box supremum.  The scipy import is not paid
-    on import of the package.
+    Only the hull check of an M > 1 box supremum solves a linear program.
+    The scipy import is not paid on import of the package.
     """
     from scipy.optimize import linprog as scipy_linprog
 
@@ -124,26 +114,19 @@ def beta(spec: ModelSpec, q, tol: float = 1e-12) -> BetaPoint:
         b -= step
         if abs(step) <= 4.0 * _EPS * max(1.0, abs(b)):
             break
-    w = np.exp(base + b * lr)
-    residual = math.log(float(w.sum()))
-    if not abs(residual) <= max(tol, 1e-11):
+    x = base + b * lr
+    top = float(x.max())
+    w = np.exp(x - top)
+    residual = top + math.log(float(w.sum()))
+    # rounding in x grows with the size of its two terms
+    scale = max(1.0, float(np.max(np.abs(base) + abs(b) * np.abs(lr))))
+    if not abs(residual) <= max(tol, 1e-11) * scale:
         raise ValidationError(
             f"beta Newton solve left residual {residual:.3e} at q={q.tolist()}"
         )
     w = w / w.sum()
     alpha = (w @ lp.T) / (w @ lr)
     return BetaPoint(q, b, alpha, ProductMeasureWeights(w))
-
-
-def beta_gradient(spec: ModelSpec, bp: BetaPoint) -> np.ndarray:
-    """alpha(q) = -grad beta(q) from the Gibbs weights of the point.
-
-    With weights w_i proportional to (prod_m p_{m,i}^{q_m}) r_i^beta this is
-    (sum_i w_i log p_{m,i}) / (sum_i w_i log r_i), a ratio of two negative
-    numbers, hence positive.
-    """
-    w = bp.gibbs_weights.w
-    return (w @ spec.log_measures.T) / (w @ spec.log_ratios)
 
 
 def _newton_jacobian(spec: ModelSpec, bp: BetaPoint) -> np.ndarray:
@@ -154,14 +137,8 @@ def _newton_jacobian(spec: ModelSpec, bp: BetaPoint) -> np.ndarray:
     A = lp @ u  # (M,)
     B = float(lr @ u)
     dbeta = -A / B  # partial beta / partial q_l
-    M = spec.M
-    J = np.empty((M, M))
-    for l in range(M):
-        du = u * (lp[l] + lr * dbeta[l])  # d u_i / d q_l (unnormalized G terms)
-        dA = lp @ du
-        dB = float(lr @ du)
-        J[:, l] = (dA * B - A * dB) / B**2
-    return J
+    du = u[:, None] * (lp.T + lr[:, None] * dbeta)  # d u_i / d q_l, (N, M)
+    return ((lp @ du) * B - np.outer(A, lr @ du)) / B**2
 
 
 def _hull_meets_box(spec: ModelSpec, lo, hi) -> bool:
@@ -187,132 +164,80 @@ def _hull_meets_box(spec: ModelSpec, lo, hi) -> bool:
     return bool(res.success)
 
 
-def _legendre_scalar(
-    spec: ModelSpec, a: float, tol: float, q_cap: float
-) -> LegendreResult:
-    if not _hull_meets_box(spec, [a - 1e-12], [a + 1e-12]):
-        return LegendreResult(NEG_INF, np.array([np.nan]))
+def legendre(spec: ModelSpec, alpha, tol: float = 1e-10) -> LegendreResult:
+    """Spectrum value f(alpha) = inf_q g(q), g(q) = <alpha, q> + beta(q).
 
-    def alpha_of(q: float) -> float:
-        return float(beta(spec, q).alpha[0])
-
-    # alpha(q) is strictly decreasing; expand a bracket with
-    # alpha(hi) <= a <= alpha(lo), stopping at the q-cap.
-    lo, hi = -1.0, 1.0
-    while alpha_of(lo) < a:
-        lo *= 2.0
-        if lo < -q_cap:
-            bp = beta(spec, -q_cap)
-            f = a * (-q_cap) + bp.beta
-            return LegendreResult(f, np.array([-q_cap]), boundary=True)
-    while alpha_of(hi) > a:
-        hi *= 2.0
-        if hi > q_cap:
-            bp = beta(spec, q_cap)
-            f = a * q_cap + bp.beta
-            return LegendreResult(f, np.array([q_cap]), boundary=True)
-    # safeguarded Newton on alpha(q) = a: a step that leaves the bracket
-    # is replaced by the bracket midpoint
-    width = max(tol * 1e-2, 1e-13)
-    q = 0.5 * (lo + hi)
-    bp = beta(spec, q)
-    for _ in range(200):
-        h = float(bp.alpha[0]) - a
-        if h > 0.0:
-            lo = q
-        elif h < 0.0:
-            hi = q
-        else:
-            break
-        q_new = q - h / float(_newton_jacobian(spec, bp)[0, 0])
-        if not lo < q_new < hi:
-            q_new = 0.5 * (lo + hi)
-        if abs(q_new - q) <= width or hi - lo <= width:
-            break
-        q = q_new
-        bp = beta(spec, q)
-    return LegendreResult(a * q + bp.beta, np.array([q]))
-
-
-def _legendre_newton(
-    spec: ModelSpec, alpha: np.ndarray, tol: float, q_cap: float
-) -> LegendreResult:
-    if not _hull_meets_box(spec, alpha - 1e-12, alpha + 1e-12):
-        return LegendreResult(NEG_INF, np.full(spec.M, np.nan))
-    q = np.zeros(spec.M)
-    bp = beta(spec, q)
-    for _ in range(200):
-        h = bp.alpha - alpha
-        err = float(np.max(np.abs(h)))
-        if err <= max(tol, 1e-12):
-            break
-        J = _newton_jacobian(spec, bp)
-        # least squares: J is singular when the level set is degenerate
-        # (N=2 with two measures), and h then lies in its range
-        dq = np.linalg.lstsq(J, -h, rcond=None)[0]
-        # damped update, clipped to the q-cap: keep the residual decreasing,
-        # stop when it cannot
-        step = 1.0
-        for _ in range(40):
-            q_new = np.clip(q + step * dq, -q_cap, q_cap)
-            bp_new = beta(spec, q_new)
-            if float(np.max(np.abs(bp_new.alpha - alpha))) < err:
-                break
-            step *= 0.5
-        else:
-            break
-        q, bp = q_new, bp_new
-        if float(np.max(np.abs(q))) >= q_cap:
-            return LegendreResult(float(alpha @ q + bp.beta), q, boundary=True)
-    return LegendreResult(float(alpha @ q + bp.beta), q)
-
-
-def legendre(
-    spec: ModelSpec,
-    alpha,
-    tol: float = 1e-10,
-    q_cap: float = DEFAULT_Q_CAP,
-) -> LegendreResult:
-    """Spectrum value inf_q (<alpha, q> + beta(q)) at one alpha.
-
-    Scalar alpha brackets the monotone tangency condition -beta'(q) = alpha
-    by doubling out to the q-cap, then solves it by Newton with d alpha / d q
-    as the slope, falling back to the bracket midpoint whenever a step leaves
-    the bracket.  Vector alpha uses damped Newton on the gradient with a
-    least-squares step, so a singular Jacobian (a degenerate level set)
-    still gives the transform value.
-    Unattainable alpha returns -inf; attainable-boundary alpha returns the
-    limiting value at the q-cap with the boundary flag set.
+    g is smooth and convex for every M, with gradient alpha - alpha(q) and
+    Hessian -d alpha / d q.  q moves only along the affine hull of the symbol
+    ratio points, the directions in which g is not affine; alpha off that
+    hull is unattainable.  Damped Newton minimises g, with Hessian
+    eigenvalues floored at the rounding of the largest (so g is taken as
+    affine, not ignored, where its curvature is lost in rounding), Armijo
+    backtracking on g itself, and a stop once the Newton decrement is at the
+    rounding scale of g, after one more full step.  For attainable alpha,
+    g >= f(alpha) >= 0 at every q, so an iterate with g below minus that
+    scale proves alpha unattainable.  A solve that ends with
+    |alpha - alpha(q*)| above ``tol`` along the hull raises.
     """
     alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
     if alpha.size != spec.M:
         raise ValidationError(f"alpha must have {spec.M} component(s)")
     if not np.all(np.isfinite(alpha) & (alpha > 0)):
         raise ValidationError("alpha must be finite and positive componentwise")
-    if spec.M == 1:
-        return _legendre_scalar(spec, float(alpha[0]), tol, q_cap)
-    return _legendre_newton(spec, alpha, tol, q_cap)
+    unattainable = LegendreResult(NEG_INF, np.full(spec.M, np.nan))
+    pts = LevelMap.from_spec(spec).symbol_ratios()  # (N, M)
+    # orthonormal hull directions: a hull thinner than about 1e-7 of its
+    # extent counts as flat, the resolution of the squared spread
+    D = pts[1:] - pts[0]
+    spread, axes = np.linalg.eigh(D.T @ D)
+    Z = axes[:, spread > 1e-14 * spread.max(initial=0.0)]
+    off = alpha - pts[0]
+    if float(np.max(np.abs(off - Z @ (Z.T @ off)))) > 1e-12 * max(1.0, float(alpha.max())):
+        return unattainable
 
+    def point(q):
+        bp = beta(spec, q)
+        g = float(alpha @ q) + bp.beta
+        # rounding scale of g
+        slack = 8.0 * _EPS * (1.0 + float(np.abs(alpha) @ np.abs(q)) + abs(bp.beta))
+        return bp, g, slack
 
-def spectrum_sweep(spec: ModelSpec, alpha_grid) -> SpectrumCurve:
-    """Legendre spectrum on a grid of alphas (unattainable points keep -inf)."""
-    alphas = np.atleast_2d(np.asarray(alpha_grid, dtype=float))
-    if alphas.shape[0] == 1 and alphas.shape[1] != spec.M:
-        alphas = alphas.reshape(-1, spec.M)
-    if alphas.shape[1] != spec.M:
-        raise ValidationError("alpha grid has wrong dimension")
-    f = np.empty(alphas.shape[0])
-    q_at = np.empty_like(alphas)
-    for i, a in enumerate(alphas):
-        res = legendre(spec, a)
-        f[i] = res.f
-        q_at[i] = res.q_star
-    return SpectrumCurve(
-        alphas=alphas,
-        f=f,
-        q_at_min=q_at,
-        meta={"method": "legendre", "label": spec.label, "osc_assumed": True},
-    )
+    q = np.zeros(spec.M)
+    bp, g, slack = point(q)
+    # lengths of the last two damped steps' Newton directions
+    prev = last = math.inf
+    for _ in range(200):
+        grad = Z.T @ (alpha - bp.alpha)
+        J = _newton_jacobian(spec, bp)
+        lam, V = np.linalg.eigh(-Z.T @ (0.5 * (J + J.T)) @ Z)
+        floor = _EPS * max(float(lam.max(initial=0.0)), _EPS)
+        dy = -V @ ((V.T @ grad) / np.maximum(lam, floor))
+        decrement = -float(grad @ dy)
+        size = float(np.linalg.norm(dy))
+        dq = Z @ dy
+        if decrement <= slack:
+            q = q + dq
+            bp, g, _ = point(q)
+            break
+        t = 1.0
+        while True:
+            bp_t, g_t, slack_t = point(q + t * dq)
+            if g_t < -slack_t:
+                return unattainable
+            if g_t <= g - 1e-4 * t * decrement:
+                break
+            t *= 0.5
+            if t < 1e-20:
+                raise MfShiftError(f"Legendre Newton stalled at q={q.tolist()}")
+        q, bp, g, slack = q + t * dq, bp_t, g_t, slack_t
+        prev, last = last, size
+    else:
+        raise MfShiftError(f"Legendre Newton did not converge at alpha={alpha.tolist()}")
+    if float(np.max(np.abs(Z.T @ (alpha - bp.alpha)), initial=0.0)) > tol:
+        raise MfShiftError(f"Legendre Newton ended off tangency at q={q.tolist()}")
+    # an attained minimum ends with Newton directions shrinking
+    # quadratically; a minimiser at infinity keeps them about as long
+    return LegendreResult(g, q, boundary=size > 0.5 * last or last > 0.5 * prev)
 
 
 def sup_spectrum(spec: ModelSpec, C: TargetBox) -> SupResult:
@@ -399,11 +324,14 @@ def _interior_point(c, A, b, N=0, n_x=0):
     stops when each primal residual is <= 1e-13 times its row's |A| v (at
     least 1) and the mean complementarity v.z / n is <= 1e-14, or after 200
     steps.  The dual residual is not waited for: when the constraints force
-    a block frequency to 0, its multiplier diverges.
+    a block frequency to 0, its multiplier diverges.  A singular KKT matrix
+    (a point box forces slacks to 0) is solved again with +1e-12 on the
+    primal and -1e-12 on the dual diagonal, so other solves keep their bits.
     """
     n, n_eq = c.size, b.size
     v, z, y = np.ones(n), np.ones(n), np.zeros(n_eq)
     zero = np.zeros((n_eq, n_eq))
+    reg = np.diag(np.concatenate([np.full(n, 1e-12), np.full(n_eq, -1e-12)]))
     abs_A = np.abs(A)
     for _ in range(200):
         grad, hess = c.copy(), np.zeros((n, n))
@@ -419,7 +347,11 @@ def _interior_point(c, A, b, N=0, n_x=0):
         K = np.block([[hess + np.diag(z / v), A.T], [A, zero]])
 
         def direction(r_c):
-            sol = np.linalg.solve(K, np.concatenate([-r_d - r_c / v, -r_p]))
+            rhs = np.concatenate([-r_d - r_c / v, -r_p])
+            try:
+                sol = np.linalg.solve(K, rhs)
+            except np.linalg.LinAlgError:
+                sol = np.linalg.solve(K + reg, rhs)
             dv = sol[:n]
             return dv, -sol[n:], -(r_c + z * dv) / v
 
@@ -492,7 +424,8 @@ def variational_solve(
         np.hstack([G, -np.ones((G.shape[0], 1))]),
     )
     t = _interior_point(np.eye(A.shape[1])[n_x], A, np.eye(A.shape[0])[0])[n_x]
-    if t > 1e-9 * max(1.0, float(np.max(np.abs([C.lo, C.hi])))):
+    miss = 1e-9 * max(1.0, float(np.max(np.abs([C.lo, C.hi]))))
+    if t > miss:
         raise InfeasibleConstraint(f"level values miss the target box by {t:.3e}")
 
     if objective == "dimension":
@@ -503,8 +436,14 @@ def variational_solve(
     c = np.concatenate([-gain, np.zeros(G.shape[0])])
     x = _interior_point(c, A, np.eye(A.shape[0])[0], N, n_x)[:n_x]
     value = (_block_entropy(x, N)[0] + float(gain @ x)) / float(norm @ x)
+    # a miss just under the threshold can leave phase II no interior: it
+    # forces block frequencies to 0 and ends in nan
+    if not math.isfinite(value):
+        raise InfeasibleConstraint("the program has no finite value in the target box")
     u = (num @ x) / float(den @ x)
     gap = float(np.linalg.norm(np.maximum(np.maximum(C.lo - u, u - C.hi), 0.0)))
+    if gap > miss:
+        raise MfShiftError(f"interior-point method stopped {gap:.3e} outside the target box")
     X = x.reshape(-1, N) / x.sum()
     if k == 1:
         weights = ProductMeasureWeights(X[0])

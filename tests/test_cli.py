@@ -127,6 +127,33 @@ def test_spectrum_csv_rows(quarter_file, capsys):
     assert abs(peak_alpha - 1.2075) < 0.11  # nearest grid point to the peak
 
 
+def test_spectrum_far_minimiser(tmp_path, capsys):
+    # close3: near-tied exponents put q* at -172.7; a search cut at |q| = 60
+    # printed f = 0.12532 here
+    path = tmp_path / "close3.json"
+    path.write_text(json.dumps({"ratios": [1 / 3] * 3, "measures": [[0.3, 0.31, 0.39]]}))
+    code, out, _ = run_cli(
+        ["spectrum", "--model", str(path), "--grid", "1.0958:1.0958:1"], capsys
+    )
+    assert code == EXIT_OK
+    alpha, f, q = map(float, out.strip().splitlines()[1].split(","))
+    assert abs(f - 0.0209910461262) <= 1e-12
+    assert q == pytest.approx(-172.705, abs=1e-3)
+
+
+def test_beta_far_q(tmp_path, capsys):
+    # at q = 1e10 the weight of symbol 2 underflows and beta is
+    # -q log p_1 / log r_1 to working precision
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps({"ratios": [0.1656, 0.3354], "measures": [[0.456, 0.544]]}))
+    code, out, _ = run_cli(["beta", "--model", str(path), "--grid=1e10:1e10:1"], capsys)
+    assert code == EXIT_OK
+    q, b, alpha = map(float, out.strip().splitlines()[1].split(","))
+    expect = -1e10 * math.log(0.456) / math.log(0.1656)
+    assert b == pytest.approx(expect, rel=1e-12)
+    assert alpha == pytest.approx(-expect / 1e10, rel=1e-12)
+
+
 def test_json_deterministic_and_round_trip(quarter_file, tmp_path, capsys):
     args = [
         "beta",
@@ -331,9 +358,9 @@ def test_help_exits_0(capsys):
 
 
 def test_cli_import_skips_scipy_and_process_pool():
-    # M = 1 Legendre points check the hull without a linear program, and the
-    # variational route solves its programs in numpy: a Bernoulli solve and
-    # a markov1 Birkhoff solve load no scipy.optimize either
+    # Legendre points of any M solve no linear program, and the variational
+    # route solves its programs in numpy: a Bernoulli solve and a markov1
+    # Birkhoff solve load no scipy.optimize either
     code = (
         "import sys, numpy as np, mfshift.cli\n"
         "from mfshift import ModelSpec, ObservableTable, PotentialTable, TargetBox\n"
@@ -342,6 +369,9 @@ def test_cli_import_skips_scipy_and_process_pool():
         "beta(spec, 1.5)\n"
         "legendre(spec, 0.8)\n"
         "legendre(spec, 2.5)\n"
+        "spec2 = ModelSpec(ratios=[1 / 3] * 3, measures=[[0.2, 0.3, 0.5], [0.5, 0.25, 0.25]])\n"
+        "legendre(spec2, [1.2, 0.9])\n"
+        "legendre(spec2, [1.4, 1.2])\n"
         "variational_solve(spec, TargetBox.interval(0.7, 0.9), objective='dimension')\n"
         "obs = ObservableTable(PotentialTable(np.array([[0.4, -0.6], [0.9, -0.2]])))\n"
         "erg_spectrum_variational(spec, obs, TargetBox.interval(0.3, 0.4))\n"

@@ -22,9 +22,7 @@ from mfshift.model import (
 from mfshift.spectrum import (
     DEFAULT_Q_CAP,
     beta,
-    beta_gradient,
     legendre,
-    spectrum_sweep,
     sup_spectrum,
     variational_solve,
 )
@@ -105,16 +103,10 @@ def test_beta_matches_equal_ratio_closed_form(quarter_spec, ternary_spec):
 
 
 def test_beta_gradient_examples(quarter_spec, uniform_spec):
-    assert beta_gradient(quarter_spec, beta(quarter_spec, 0.0))[
-        0
-    ] == pytest.approx(ALPHA0, abs=1e-10)
-    assert beta_gradient(quarter_spec, beta(quarter_spec, 1.0))[
-        0
-    ] == pytest.approx(ALPHA1, abs=1e-10)
+    assert beta(quarter_spec, 0.0).alpha[0] == pytest.approx(ALPHA0, abs=1e-10)
+    assert beta(quarter_spec, 1.0).alpha[0] == pytest.approx(ALPHA1, abs=1e-10)
     for q in (-3.0, 0.0, 2.5):
-        assert beta_gradient(uniform_spec, beta(uniform_spec, q))[
-            0
-        ] == pytest.approx(1.0, abs=1e-12)
+        assert beta(uniform_spec, q).alpha[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_gibbs_weights_consistency(quarter_spec):
@@ -142,9 +134,12 @@ def test_legendre_peak_and_diagonal(quarter_spec):
 
 
 def test_legendre_boundary_and_exterior(quarter_spec):
-    boundary = legendre(quarter_spec, 2.0)
-    assert boundary.boundary
-    assert boundary.f == pytest.approx(0.0, abs=1e-12)
+    # both ends of the attainable interval: the minimiser runs off to
+    # infinity and f is the limit 0
+    for end in (2.0, math.log2(4 / 3)):
+        boundary = legendre(quarter_spec, end)
+        assert boundary.boundary
+        assert boundary.f == pytest.approx(0.0, abs=1e-12)
     exterior = legendre(quarter_spec, 2.5)
     assert exterior.f == NEG_INF
     low = legendre(quarter_spec, 0.2)
@@ -159,29 +154,112 @@ def test_legendre_boundary_and_exterior(quarter_spec):
             beta(quarter_spec, q)
 
 
-def test_legendre_near_vertex_stays_within_q_cap():
-    # about 1e-7 inside the hull from the vertex of symbol 1, where f = 0:
-    # the Newton step heads for |q| ~ 1e12 unless it is clipped to the cap
+CLOSE3 = ModelSpec(ratios=[1 / 3] * 3, measures=[[0.3, 0.31, 0.39]], label="close3")
+
+
+def test_legendre_far_minimiser_close3():
+    # near-tied exponents put q* far out; a search cut at |q| = 60 returned
+    # 0.12532 and 0.4995 here
+    res = legendre(CLOSE3, 1.0958)
+    assert abs(res.f - 0.0209910461262) <= 1e-12
+    assert res.q_star[0] == pytest.approx(-172.705, abs=1e-3)
+    assert not res.boundary
+    ref = variational_solve(CLOSE3, TargetBox.point(1.0958), objective="dimension")
+    assert abs(res.f - ref.value) <= 1e-12
+    bp = beta(CLOSE3, -40.0)
+    res = legendre(CLOSE3, bp.alpha)
+    assert abs(res.f - (-40.0 * bp.alpha[0] + bp.beta)) <= 1e-12
+    assert res.q_star[0] == pytest.approx(-40.0, abs=1e-5)
+    res = legendre(CLOSE3, 1.08956415)
+    assert res.f == pytest.approx(0.47071, abs=1e-5)
+    assert res.q_star[0] == pytest.approx(-40.0, abs=1e-3)
+
+
+def test_legendre_far_minimiser_m2():
+    # 1e-5 inside the vertex of symbol 2 toward the centroid: q* ~ (-90, -90),
+    # where a search cut at |q| = 60 returned 0.00411
+    spec = ModelSpec(ratios=[1 / 3] * 3, measures=[[0.2, 0.3, 0.5], [0.5, 0.3, 0.2]])
+    a = _vertex_offset(spec, 1, -1e-5)
+    res = legendre(spec, a)
+    ref = variational_solve(spec, TargetBox.point(a), objective="dimension")
+    assert abs(res.f - 0.0014113893) <= 1e-10
+    assert abs(res.f - ref.value) <= 1e-12
+    assert np.allclose(res.q_star, [-90.31, -90.31], atol=1e-2)
+
+
+def _vertex_offset(spec, symbol, distance):
+    """The ratio point of ``symbol`` moved by ``distance`` away from the centroid."""
+    pts = LevelMap.from_spec(spec).symbol_ratios()
+    d = pts[symbol] - pts.mean(axis=0)
+    return pts[symbol] + distance * d / np.linalg.norm(d)
+
+
+def test_legendre_near_vertex_matches_variational():
+    # ternary2 just inside the vertex of symbol 1, where f -> 0: q* has
+    # |q| ~ 30 and the Hessian is near singular
+    for distance in (1e-7, 1e-8, 1e-9):
+        a = _vertex_offset(TERNARY2, 0, -distance)
+        res = legendre(TERNARY2, a)
+        ref = variational_solve(TERNARY2, TargetBox.point(a), objective="dimension")
+        assert 0.0 < res.f and abs(res.f - ref.value) <= 1e-13, distance
+        assert not res.boundary
+    # 1e-8 and 1e-9 outside it the point is unattainable
+    for distance in (1e-8, 1e-9):
+        assert legendre(TERNARY2, _vertex_offset(TERNARY2, 0, distance)).f == NEG_INF
+    # 1.35e-8 outside the edge from symbol 1 to symbol 2: g decreases along
+    # a direction of curvature ~1e-23, which a least-squares step drops (it
+    # stalled here at f = 1.2076e-6, q ~ (-71.08, -18.83))
     res = legendre(TERNARY2, [1.46497348, 0.63092985])
-    assert math.isfinite(res.f) and abs(res.f) <= 1e-5
-    assert float(np.max(np.abs(res.q_star))) <= DEFAULT_Q_CAP
+    assert res.f == NEG_INF
+    with pytest.raises(InfeasibleConstraint):
+        variational_solve(
+            TERNARY2, TargetBox.point([1.46497348, 0.63092985]), objective="dimension"
+        )
 
 
-def test_spectrum_sweep_uniform(uniform_spec):
-    curve = spectrum_sweep(uniform_spec, [0.7, 1.0, 1.3])
-    assert curve.f[0] == NEG_INF and curve.f[2] == NEG_INF
-    assert curve.f[1] == pytest.approx(1.0, abs=1e-10)
+def test_legendre_without_linear_programs(monkeypatch, quarter_spec, ternary_spec):
+    def refuse(*args, **kwargs):
+        raise AssertionError("legendre solved a linear program")
+
+    monkeypatch.setattr(spectrum_mod, "linprog", refuse)
+    for spec in (quarter_spec, ternary_spec, TERNARY2, N4M3):
+        pts = LevelMap.from_spec(spec).symbol_ratios()
+        centre = pts.mean(axis=0)
+        assert legendre(spec, centre).f > 0.0
+        assert legendre(spec, pts.max(axis=0) + 0.1).f == NEG_INF
+        assert legendre(spec, _vertex_offset(spec, 0, 1e-3)).f == NEG_INF
 
 
-def test_spectrum_sweep_concave_with_unit_peak(quarter_spec):
+def test_legendre_matches_variational_random_points():
+    # N in [2, 5], M in [1, 3], ratios summing to 0.5..0.95, Dirichlet(1)
+    # measures, alpha a Dirichlet(0.3) mix of the ratio points: many lie near
+    # a face, with far minimisers
+    rng = np.random.default_rng(7)
+    for i in range(300):
+        N, M = int(rng.integers(2, 6)), int(rng.integers(1, 4))
+        r = rng.uniform(0.1, 0.6, size=N)
+        r *= rng.uniform(0.5, 0.95) / r.sum()
+        spec = ModelSpec(ratios=r, measures=rng.dirichlet(np.ones(N), size=M))
+        a = rng.dirichlet(np.full(N, 0.3)) @ LevelMap.from_spec(spec).symbol_ratios()
+        res = legendre(spec, a)
+        ref = variational_solve(spec, TargetBox.point(a), objective="dimension")
+        assert abs(res.f - ref.value) <= 1e-10, (i, res, ref.value)
+
+
+def test_legendre_grid_uniform(uniform_spec):
+    f = [legendre(uniform_spec, a).f for a in (0.7, 1.0, 1.3)]
+    assert f[0] == NEG_INF and f[2] == NEG_INF
+    assert f[1] == pytest.approx(1.0, abs=1e-10)
+
+
+def test_legendre_grid_concave_with_unit_peak(quarter_spec):
     alphas = np.linspace(0.45, 1.95, 31)
-    curve = spectrum_sweep(quarter_spec, alphas)
-    finite = np.isfinite(curve.f)
-    assert finite.all()
-    assert float(curve.f.max()) <= 1.0 + 1e-12
-    peak_alpha = curve.alphas[np.argmax(curve.f), 0]
+    f = np.array([legendre(quarter_spec, a).f for a in alphas])
+    assert np.isfinite(f).all()
+    assert float(f.max()) <= 1.0 + 1e-12
+    peak_alpha = alphas[np.argmax(f)]
     assert abs(peak_alpha - ALPHA0) < 0.06  # grid resolution
-    second = np.diff(curve.f, 2)
+    second = np.diff(f, 2)
     assert np.max(second) <= 1e-8  # concavity along the grid
 
 
@@ -399,6 +477,37 @@ def test_variational_infeasible(quarter_spec):
         variational_solve(
             TERNARY2, TargetBox.interval([1.38, 1.15], [1.42, 1.2]), objective="dimension"
         )
+
+
+def test_variational_point_just_outside_vertex_infeasible():
+    # 1e-9 outside the vertex of symbol 1 phase I misses by 7.2e-10, under
+    # its 1e-9 threshold; phase II then forces block frequencies to 0 and
+    # ends in nan, which must read as infeasible
+    for distance in (1e-8, 1e-9, 1e-10):
+        a = _vertex_offset(TERNARY2, 0, distance)
+        with pytest.raises(InfeasibleConstraint):
+            variational_solve(TERNARY2, TargetBox.point(a), objective="dimension")
+
+
+def test_variational_refuses_a_result_outside_the_box():
+    # a point on the segment of an N = 2, M = 2 model with extreme exponents:
+    # the KKT matrix of phase II turns singular and the iterates diverge,
+    # ending 97 level units outside the box with value 7.8e-14
+    spec = ModelSpec(
+        ratios=[0.879124973888551, 0.05376364324578358],
+        measures=[[3.3323587443841395e-06, 0.9999966676412555],
+                  [0.9376946053257347, 0.06230539467426523]],
+    )
+    a = [96.86695833009965, 0.5040892021150998]
+    with pytest.raises(MfShiftError, match="outside the target box"):
+        variational_solve(spec, TargetBox.point(a), objective="dimension")
+    # the one Bernoulli measure at a: weights proportional to theta_i / log r_i,
+    # theta the position of a on the segment of the ratio points
+    theta = 0.9894834508446486
+    w = np.array([theta, 1 - theta]) / spec.log_ratios
+    w /= w.sum()
+    exact = float(w @ np.log(w)) / float(w @ spec.log_ratios)
+    assert abs(legendre(spec, a).f - exact) <= 1e-12
 
 
 def test_route_agreement_random_boxes():
